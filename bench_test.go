@@ -7,6 +7,7 @@ package temco
 //	go test -bench=Fig -benchmem          # all figure benches
 //	go test -bench=Fig11 -res-time=32     # timing only
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -246,8 +247,11 @@ func BenchmarkFusedKernel(b *testing.B) {
 	in.FillNormal(r, 0, 1)
 	out := tensor.New(4, 6, 32, 32)
 	b.Run("fused", func(b *testing.B) {
+		plan := ops.PlanFused(attrs)
 		for i := 0; i < b.N; i++ {
-			ops.Fused(out, in, attrs)
+			if err := ops.FusedPlannedCtx(context.Background(), out, in, attrs, plan); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportMetric(float64(ops.FusedWorkspaceBytes(attrs))/1024, "workspaceKB")
 	})

@@ -94,7 +94,6 @@ func main() {
 		breaker   = flag.Int("breaker", 3, "consecutive failures that trip the circuit breaker")
 		probe     = flag.Duration("probe", 1*time.Second, "breaker recovery probe interval")
 		drain     = flag.Duration("draintimeout", 30*time.Second, "graceful shutdown drain budget")
-		engineOn  = flag.Bool("engine", true, "serve through the compiled plan-once/run-many engine (off = exec interpreter)")
 		batchMax  = flag.Int("batch-max", 0, "coalesce concurrent /infer requests into batches of up to this many sample rows (0 or 1 = off)")
 		batchWin  = flag.Duration("batch-window", 2*time.Millisecond, "how long an open batch accumulates before dispatching partially full")
 		faults    = flag.String("faults", "", `fault injection spec, e.g. "seed=42,scope=optimized,panic=0.05,budget=0.02,slow=0.01:5ms,alloc=0.01,blackhole=0.05,httpdelay=0.1:20ms"`)
@@ -109,7 +108,7 @@ func main() {
 		method: *method, seed: *seed, addr: *addr, queueSize: *queueSize,
 		workers: *workers, deadline: *deadline, retries: *retries,
 		membudgetMB: *membudget, breaker: *breaker, probe: *probe,
-		drain: *drain, noEngine: !*engineOn, batchMax: *batchMax,
+		drain: *drain, batchMax: *batchMax,
 		batchWindow: *batchWin, faults: *faults,
 		traceOut: *traceOut, quitz: *quitz,
 		flight: *flight, flightSample: *flightN,
@@ -135,7 +134,6 @@ type options struct {
 	breaker      int
 	probe        time.Duration
 	drain        time.Duration
-	noEngine     bool
 	batchMax     int
 	batchWindow  time.Duration
 	faults       string
@@ -278,7 +276,6 @@ func buildSession(o options) (*serve.Session, []int, error) {
 		BudgetBytes:      o.membudgetMB * (1 << 20),
 		BreakerThreshold: o.breaker,
 		ProbeInterval:    o.probe,
-		NoEngine:         o.noEngine,
 		MaxBatchSize:     o.batchMax,
 		MaxBatchLatency:  o.batchWindow,
 	})
@@ -427,7 +424,8 @@ type engineStatsz struct {
 	Optimized *engine.Stats `json:"optimized,omitempty"`
 	Fallback  *engine.Stats `json:"fallback,omitempty"`
 	// SteadyAllocsPerRun is heap allocations per steady-state engine run,
-	// measured once at startup (-1 when the engine is disabled). Zero only
+	// measured once at startup (-1 when the optimized graph did not compile
+	// and serves through the interpreter). Zero only
 	// at TEMCO_WORKERS=1; the parallel kernel fan-out allocates.
 	SteadyAllocsPerRun float64 `json:"steady_allocs_per_run"`
 }

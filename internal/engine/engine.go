@@ -1,13 +1,14 @@
 // Package engine compiles a layer graph into a reusable execution
 // artifact. exec.RunCtx re-derives the schedule, re-allocates every
-// intermediate tensor, and re-packs every constant GEMM weight panel on
-// each call; for a graph served many times all of that work is a function
-// of the graph alone. Compile hoists it out of the run loop:
+// intermediate tensor, and re-prepares every step (conv plan, packed
+// weight panels) on each call; for a graph served many times all of that
+// work is a function of the graph alone. Compile hoists it out of the run
+// loop:
 //
-//   - the topological schedule and per-node kernel plans (kernel choice,
-//     im2col gather geometry) are computed once;
-//   - every constant conv/linear/fused weight is pre-packed into the
-//     blocked GEMM's panel layout (gemm.PackA / gemm.PackBT);
+//   - the topological schedule is computed once, and every node is
+//     prepared once by exec.PrepareStep — the same step table the
+//     interpreters run, so kernel choice, im2col gather geometry, and
+//     pre-packed conv/linear/fused weights are shared, not re-derived;
 //   - memplan liveness is baked into a first-fit offset Assignment so all
 //     intermediates live inside one reusable slab.
 //
@@ -29,11 +30,9 @@ import (
 	"sync/atomic"
 
 	"temco/internal/exec"
-	"temco/internal/gemm"
 	"temco/internal/guard"
 	"temco/internal/ir"
 	"temco/internal/memplan"
-	"temco/internal/ops"
 	"temco/internal/tensor"
 )
 
@@ -56,43 +55,25 @@ type Options struct {
 	BudgetBytes int64
 }
 
-// step is one baked schedule slot: the node, its input slots, and whatever
-// the compile pass prepared for its kernel.
+// step is one baked schedule slot: the prepared kernel and the schedule
+// slots of its inputs.
 type step struct {
-	node    *ir.Node
-	kind    ir.Kind
+	exec.Step
 	inSlots []int
-	w, b    *tensor.Tensor
-
-	conv     *ir.ConvAttrs
-	convPlan *ops.ConvPlan
-	lin      *ir.LinearAttrs
-	linPW    *gemm.PackedB
-	pool     *ir.PoolAttrs
-	scale    int
-	fused    *ir.FusedAttrs
-	fusedPln *ops.FusedPlan
 }
 
-// layout is the per-batch-size arena plan. The alias-derived fields are
-// baked here at plan time so the run loop consults plain slices, never the
-// plan's maps: concatSkip[i] flags the concat inputs already resident in
-// slot i's region, flatView[i] marks flatten slots that share their
-// input's storage, and elimCopies/elimBytes pre-total the copies every run
-// of this layout avoids (published to the obs counters per run without
-// re-walking the plan).
+// layout is the per-batch-size arena plan, with the alias plan baked onto
+// schedule slots (exec.BakeAlias) so the run loop consults plain slices
+// and publishes the copies every run avoids without re-walking the plan.
 type layout struct {
 	batch      int
 	offsets    []int64 // byte offset per schedule slot
 	arenaBytes int64
 	maxWS      int64
 
-	concatSkip [][]bool
-	flatView   []bool
-	views      int
-	inPlace    int
-	elimCopies uint64
-	elimBytes  int64
+	alias   exec.AliasSlots
+	views   int
+	inPlace int
 }
 
 // Engine is a compiled graph: immutable after Compile and safe for
@@ -140,7 +121,7 @@ type Stats struct {
 // Compile builds the execution artifact for g. The graph is validated
 // once here; an unsupported node kind or an inconsistent graph fails with
 // guard.ErrInvalidModel (callers fall back to the exec interpreter, which
-// shares the same kernel registry — see the serve policy in DESIGN.md §9).
+// runs the same step table — see the serve policy in DESIGN.md §9).
 // The returned engine keeps references to g's weight tensors; mutating
 // them afterwards invalidates the pre-packed panels.
 func Compile(g *ir.Graph, opts Options) (*Engine, error) {
@@ -160,8 +141,13 @@ func Compile(g *ir.Graph, opts Options) (*Engine, error) {
 	slotOf := g.Index()
 	e.steps = make([]step, len(g.Nodes))
 	for i, n := range g.Nodes {
+		st, err := exec.PrepareStep(n)
+		if err != nil {
+			return nil, fmt.Errorf("engine.Compile: %w", err)
+		}
 		s := &e.steps[i]
-		s.node, s.kind, s.w, s.b = n, n.Kind, n.W, n.B
+		s.Step = st
+		e.packed += st.PackedBytes()
 		s.inSlots = make([]int, len(n.Inputs))
 		for j, p := range n.Inputs {
 			sl, ok := slotOf[p]
@@ -170,31 +156,6 @@ func Compile(g *ir.Graph, opts Options) (*Engine, error) {
 					"node %s consumes %s, which is not in the schedule", n, p)
 			}
 			s.inSlots[j] = sl
-		}
-		switch n.Kind {
-		case ir.KindInput:
-		case ir.KindConv2D:
-			in := n.Inputs[0]
-			s.conv = n.Conv()
-			s.convPlan = ops.PlanConv(s.conv, n.W, in.Shape[1], in.Shape[2], n.Shape[1], n.Shape[2])
-			e.packed += s.convPlan.PackedBytes()
-		case ir.KindLinear:
-			s.lin = n.Attrs.(*ir.LinearAttrs)
-			s.linPW = gemm.PackBT(s.lin.In, s.lin.Out, n.W.Data, s.lin.In)
-			e.packed += s.linPW.Bytes()
-		case ir.KindMaxPool, ir.KindAvgPool:
-			s.pool = n.Pool()
-		case ir.KindUpsample:
-			s.scale = n.Attrs.(*ir.UpsampleAttrs).Scale
-		case ir.KindFused:
-			s.fused = n.Fused()
-			s.fusedPln = ops.PlanFused(s.fused)
-			e.packed += s.fusedPln.PackedBytes()
-		case ir.KindReLU, ir.KindSiLU, ir.KindSigmoid, ir.KindBatchNorm,
-			ir.KindGlobalAvgPool, ir.KindAdd, ir.KindConcat, ir.KindFlatten, ir.KindSoftmax:
-		default:
-			return nil, guard.Errorf(guard.ErrInvalidModel, "engine.Compile",
-				"unsupported node kind %v (node %s)", n.Kind, n)
 		}
 		if n.Kind != ir.KindInput {
 			e.layerCalls++
@@ -241,7 +202,7 @@ func (e *Engine) layoutFor(batch int) (*layout, error) {
 		return nil, guard.New(guard.ErrInternal, "engine.layout", err)
 	}
 	l := &layout{batch: batch, offsets: make([]int64, len(e.g.Nodes)), arenaBytes: asg.ArenaBytes,
-		concatSkip: make([][]bool, len(e.g.Nodes)), flatView: make([]bool, len(e.g.Nodes))}
+		alias: exec.BakeAlias(e.g, asg.Alias)}
 	for i, n := range e.g.Nodes {
 		off, ok := asg.Offsets[n]
 		if !ok {
@@ -251,22 +212,6 @@ func (e *Engine) layoutFor(batch int) (*layout, error) {
 	}
 	if al := asg.Alias; al != nil {
 		l.views, l.inPlace = al.Views, al.InPlace
-		for i, n := range e.g.Nodes {
-			if sk := al.ConcatSkip[n]; sk != nil {
-				l.concatSkip[i] = sk
-				for j, p := range n.Inputs {
-					if sk[j] {
-						l.elimCopies++
-						l.elimBytes += p.OutBytes(batch)
-					}
-				}
-			}
-			if n.Kind == ir.KindFlatten && al.StorageOf(n).Class == memplan.StorageView {
-				l.flatView[i] = true
-				l.elimCopies++
-				l.elimBytes += n.OutBytes(batch)
-			}
-		}
 	}
 	for _, n := range e.g.Nodes {
 		if ws := memplan.Workspace(n, batch); ws > l.maxWS {
@@ -287,7 +232,7 @@ func (e *Engine) Stats() Stats {
 		st.MaxWorkspaceBytes = l.maxWS
 		st.AliasViews = l.views
 		st.AliasInPlace = l.inPlace
-		st.CopyBytesEliminatedPerRun = l.elimBytes
+		st.CopyBytesEliminatedPerRun = l.alias.ElimBytes
 	}
 	for b := range e.layouts {
 		st.PlannedBatches = append(st.PlannedBatches, b)

@@ -250,6 +250,29 @@ func TestEngineCompileErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownKindRejected: a node kind with no kernel is an invalid model
+// to every executor, not an internal failure — all three share one step
+// table, so they must all say so the same way.
+func TestUnknownKindRejected(t *testing.T) {
+	b := ir.NewBuilder("unknown-kind", 1)
+	in := b.Input(2, 4, 4)
+	r := b.ReLU(in)
+	b.Output(r)
+	r.Kind = ir.Kind(99)
+	g := b.G
+	x := randInput(g, 1, 1)
+	ctx := context.Background()
+	if _, err := engine.Compile(g, engine.Options{}); !errors.Is(err, guard.ErrInvalidModel) {
+		t.Errorf("engine.Compile: err = %v, want ErrInvalidModel", err)
+	}
+	if _, err := exec.RunCtx(ctx, g, 0, x); !errors.Is(err, guard.ErrInvalidModel) {
+		t.Errorf("exec.RunCtx: err = %v, want ErrInvalidModel", err)
+	}
+	if _, err := exec.RunArenaCtx(ctx, g, memplan.AssignOffsets(g, 1), 0, x); !errors.Is(err, guard.ErrInvalidModel) {
+		t.Errorf("exec.RunArenaCtx: err = %v, want ErrInvalidModel", err)
+	}
+}
+
 // TestEngineInputErrors checks arity/shape validation at Run time.
 func TestEngineInputErrors(t *testing.T) {
 	ctx := context.Background()

@@ -11,7 +11,6 @@ import (
 	"temco/internal/guard"
 	"temco/internal/ir"
 	"temco/internal/obs"
-	"temco/internal/ops"
 	"temco/internal/tensor"
 )
 
@@ -165,15 +164,16 @@ func (it *Instance) Run(ctx context.Context, inputs ...*tensor.Tensor) (r *exec.
 				watermark = end
 			}
 		}
-		if s.kind == ir.KindInput {
+		n := s.Node()
+		if n.Kind == ir.KindInput {
 			if mr != nil {
-				mr.Record(i, s.node.Name, watermark)
+				mr.Record(i, n.Name, watermark)
 			}
 			continue
 		}
 		if faultinject.Budget(e.g.Name) {
 			return nil, guard.Errorf(guard.ErrBudgetExceeded, "engine.Run",
-				"injected budget failure at node %s", s.node)
+				"injected budget failure at node %s", n)
 		}
 		var t0 time.Duration
 		var p0 gemm.PoolStats
@@ -184,20 +184,20 @@ func (it *Instance) Run(ctx context.Context, inputs ...*tensor.Tensor) (r *exec.
 		if rt != nil {
 			r0 = rt.Since()
 		}
-		stepCopy, err := st.compute(ctx, e.g.Name, s, i)
+		stepCopy, err := s.Run(ctx, e.g.Name, st.vals[i], st.ins[i], st.lay.alias.ConcatSkip[i], st.lay.alias.FlatView[i])
 		if err != nil {
-			return nil, fmt.Errorf("engine: node %s: %w", s.node, err)
+			return nil, fmt.Errorf("engine: node %s: %w", n, err)
 		}
 		copied += stepCopy
 		if rt != nil {
 			// Node names are interned strings and the span buffer is
 			// preallocated, so this stays allocation-free.
-			rt.SpanAt("engine.step", s.node.Name, i, r0, rt.Since()-r0)
+			rt.SpanAt("engine.step", n.Name, i, r0, rt.Since()-r0)
 		}
 		if tr != nil {
 			p1 := gemm.PoolStatsSnapshot()
 			tr.Record(obs.Span{
-				Name: s.node.Name, Cat: "engine", Kind: s.kind.String(),
+				Name: n.Name, Cat: "engine", Kind: n.Kind.String(),
 				Lane: lane, Step: i, Start: t0, Dur: tr.Since() - t0,
 				LiveBytes: watermark, ArenaOff: st.lay.offsets[i],
 				PackHits: p1.Hits - p0.Hits, PackMisses: p1.Misses - p0.Misses,
@@ -205,78 +205,15 @@ func (it *Instance) Run(ctx context.Context, inputs ...*tensor.Tensor) (r *exec.
 			})
 		}
 		if mr != nil {
-			mr.Record(i, s.node.Name, watermark)
+			mr.Record(i, n.Name, watermark)
 		}
 	}
 	for j, sl := range e.outSlots {
 		copy(st.outs[j].Data, st.vals[sl].Data)
 	}
-	obs.CountCopies(copied, st.lay.elimCopies, st.lay.elimBytes)
+	obs.CountCopies(copied, st.lay.alias.ElimCopies, st.lay.alias.ElimBytes)
 	e.runs.Add(1)
 	return &st.res, nil
-}
-
-// compute dispatches one baked step and returns the bytes it moved with
-// plain copies. It mirrors exec's arena compute — same kernels, same fault
-// hook, same alias-plan-driven concat skips and flatten views — except
-// that conv, linear, and fused nodes consume the plans and pre-packed
-// weight panels prepared at compile time. The elementwise kernels are
-// in-place safe, so slots the plan placed on their input's storage just
-// work.
-func (st *state) compute(ctx context.Context, scope string, s *step, slot int) (int64, error) {
-	faultinject.Kernel(scope)
-	out := st.vals[slot]
-	in := st.ins[slot]
-	switch s.kind {
-	case ir.KindConv2D:
-		if err := ops.ConvPlannedCtx(ctx, out, in[0], s.w, s.b, s.conv, s.convPlan); err != nil {
-			return 0, guard.New(guard.ErrCanceled, "engine.compute", err)
-		}
-	case ir.KindLinear:
-		if err := ops.LinearPrePackedCtx(ctx, out, in[0], s.linPW, s.b, s.lin); err != nil {
-			return 0, guard.New(guard.ErrCanceled, "engine.compute", err)
-		}
-	case ir.KindReLU:
-		ops.ReLU(out, in[0])
-	case ir.KindSiLU:
-		ops.SiLU(out, in[0])
-	case ir.KindSigmoid:
-		ops.Sigmoid(out, in[0])
-	case ir.KindBatchNorm:
-		ops.BatchNorm(out, in[0], s.w, s.b)
-	case ir.KindMaxPool:
-		ops.MaxPool(out, in[0], s.pool)
-	case ir.KindAvgPool:
-		ops.AvgPool(out, in[0], s.pool)
-	case ir.KindGlobalAvgPool:
-		ops.GlobalAvgPool(out, in[0])
-	case ir.KindUpsample:
-		ops.Upsample(out, in[0], s.scale)
-	case ir.KindAdd:
-		ops.Add(out, in[0], in[1])
-	case ir.KindConcat:
-		if skip := st.lay.concatSkip[slot]; skip != nil {
-			return ops.ConcatPartial(out, in, skip), nil
-		}
-		ops.Concat(out, in)
-		return int64(out.Len()) * 4, nil
-	case ir.KindFlatten:
-		if st.lay.flatView[slot] {
-			// Shares the input's storage: nothing to move.
-			return 0, nil
-		}
-		copy(out.Data, in[0].Data)
-		return int64(out.Len()) * 4, nil
-	case ir.KindSoftmax:
-		ops.Softmax(out, in[0])
-	case ir.KindFused:
-		if err := ops.FusedPlannedCtx(ctx, out, in[0], s.fused, s.fusedPln); err != nil {
-			return 0, guard.New(guard.ErrCanceled, "engine.compute", err)
-		}
-	default:
-		return 0, fmt.Errorf("unsupported kind %v", s.kind)
-	}
-	return 0, nil
 }
 
 func shapeEq(a, b []int) bool {

@@ -9,14 +9,14 @@ import (
 	"temco/internal/ir"
 	"temco/internal/memplan"
 	"temco/internal/obs"
-	"temco/internal/ops"
 	"temco/internal/tensor"
 )
 
 // RunArena executes g inside a single preallocated arena laid out by
 // memplan.AssignOffsets: every internal tensor is a slice of the arena at
-// its assigned offset, so the real allocation of the whole inference is
-// exactly Assignment.ArenaBytes (plus fused-kernel scratch). This both
+// its assigned offset, so the internal tensors of the whole inference take
+// exactly Assignment.ArenaBytes (kernel scratch and the packed weight
+// panels of the steps, prepared once per call, come on top). This both
 // demonstrates the memory plan end-to-end and cross-validates the
 // simulator: outputs must match Run exactly.
 //
@@ -119,8 +119,9 @@ func RunArenaCtx(ctx context.Context, g *ir.Graph, a memplan.Assignment, budgetB
 		acct.copied += in.OutBytes(batch)
 		vals[in] = dst
 	}
+	slots := BakeAlias(g, a.Alias)
 	res := &Result{}
-	for _, n := range g.Nodes {
+	for i, n := range g.Nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, guard.New(guard.ErrCanceled, "exec.RunArenaCtx", err)
 		}
@@ -136,97 +137,27 @@ func RunArenaCtx(ctx context.Context, g *ir.Graph, a memplan.Assignment, budgetB
 			return nil, err
 		}
 		in := make([]*tensor.Tensor, len(n.Inputs))
-		for i, p := range n.Inputs {
-			in[i] = vals[p]
+		for j, p := range n.Inputs {
+			in[j] = vals[p]
 		}
-		var skip []bool
-		if a.Alias != nil {
-			skip = a.Alias.ConcatSkip[n]
-		}
-		flatView := n.Kind == ir.KindFlatten && a.Alias != nil &&
-			a.Alias.StorageOf(n).Class == memplan.StorageView
-		if err := guard.Safe("exec.compute", func() error {
-			return compute(ctx, g.Name, n, in, out, skip, flatView, &acct)
+		var copied int64
+		if err := guard.Safe("exec.RunArenaCtx", func() error {
+			s, err := PrepareStep(n)
+			if err != nil {
+				return err
+			}
+			copied, err = s.Run(ctx, g.Name, out, in, slots.ConcatSkip[i], slots.FlatView[i])
+			return err
 		}); err != nil {
 			return nil, fmt.Errorf("exec: node %s: %w", n, err)
 		}
+		acct.copied += copied
 		vals[n] = out
 		res.LayerCalls++
 	}
 	for _, o := range g.Outputs {
 		res.Outputs = append(res.Outputs, vals[o].Clone())
 	}
-	obs.CountCopies(acct.copied, acct.elim, acct.elimBytes)
+	obs.CountCopies(acct.copied, acct.elim+slots.ElimCopies, acct.elimBytes+slots.ElimBytes)
 	return res, nil
-}
-
-// compute runs node n's kernel writing into the caller-provided output
-// tensor. Concat copies only the inputs the alias plan left owned (skip
-// flags mark the views already resident in out); Flatten copies unless the
-// plan made it a view. The context reaches the long-running conv/fused
-// kernels, which bail out mid-node when it is canceled. The elementwise
-// kernels are in-place safe: when the plan put out on its input's storage
-// they read each element before overwriting it.
-func compute(ctx context.Context, scope string, n *ir.Node, in []*tensor.Tensor, out *tensor.Tensor, skip []bool, flatView bool, acct *copyAcct) error {
-	faultinject.Kernel(scope)
-	switch n.Kind {
-	case ir.KindConv2D:
-		if err := ops.ConvAutoCtx(ctx, out, in[0], n.W, n.B, n.Conv()); err != nil {
-			return guard.New(guard.ErrCanceled, "exec.compute", err)
-		}
-	case ir.KindLinear:
-		if err := ops.LinearCtx(ctx, out, in[0], n.W, n.B, n.Attrs.(*ir.LinearAttrs)); err != nil {
-			return guard.New(guard.ErrCanceled, "exec.compute", err)
-		}
-	case ir.KindReLU:
-		ops.ReLU(out, in[0])
-	case ir.KindSiLU:
-		ops.SiLU(out, in[0])
-	case ir.KindSigmoid:
-		ops.Sigmoid(out, in[0])
-	case ir.KindBatchNorm:
-		ops.BatchNorm(out, in[0], n.W, n.B)
-	case ir.KindMaxPool:
-		ops.MaxPool(out, in[0], n.Pool())
-	case ir.KindAvgPool:
-		ops.AvgPool(out, in[0], n.Pool())
-	case ir.KindGlobalAvgPool:
-		ops.GlobalAvgPool(out, in[0])
-	case ir.KindUpsample:
-		ops.Upsample(out, in[0], n.Attrs.(*ir.UpsampleAttrs).Scale)
-	case ir.KindAdd:
-		ops.Add(out, in[0], in[1])
-	case ir.KindConcat:
-		if skip != nil {
-			acct.copied += ops.ConcatPartial(out, in, skip)
-			for j, t := range in {
-				if skip[j] {
-					acct.eliminate(int64(t.Len()) * 4)
-				}
-			}
-		} else {
-			ops.Concat(out, in)
-			for _, t := range in {
-				acct.copied += int64(t.Len()) * 4
-			}
-		}
-	case ir.KindFlatten:
-		if flatView {
-			// The plan placed out on in[0]'s storage: same bytes, same
-			// order — nothing to move.
-			acct.eliminate(int64(out.Len()) * 4)
-		} else {
-			copy(out.Data, in[0].Data)
-			acct.copied += int64(out.Len()) * 4
-		}
-	case ir.KindSoftmax:
-		ops.Softmax(out, in[0])
-	case ir.KindFused:
-		if err := ops.FusedCtx(ctx, out, in[0], n.Fused()); err != nil {
-			return guard.New(guard.ErrCanceled, "exec.compute", err)
-		}
-	default:
-		return fmt.Errorf("unsupported kind %v", n.Kind)
-	}
-	return nil
 }

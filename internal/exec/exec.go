@@ -1,7 +1,12 @@
-// Package exec runs layer graphs on real data. It walks the schedule,adds
-// one batched NCHW tensor per node, dispatches the matching kernel from
-// internal/ops, and releases tensors after their last use (mirroring the
-// allocate/free discipline the memory planner simulates).
+// Package exec runs layer graphs on real data. It owns the one kernel
+// table every executor shares: PrepareStep plans a node's kernel (the conv
+// decision, packed weights, gather tables) and Step.Run executes it into a
+// caller-provided output. Two interpreters sit on top. RunCtx walks the
+// schedule, allocates one batched NCHW tensor per node, and releases
+// tensors after their last use, mirroring the allocate/free discipline the
+// memory planner simulates. RunArenaCtx runs the same steps inside one
+// arena laid out by memplan.AssignOffsets. The compiled engine
+// (internal/engine) prepares the same steps once and reuses them.
 package exec
 
 import (
@@ -15,7 +20,6 @@ import (
 	"temco/internal/ir"
 	"temco/internal/memplan"
 	"temco/internal/obs"
-	"temco/internal/ops"
 	"temco/internal/tensor"
 )
 
@@ -114,22 +118,14 @@ func RunCtx(ctx context.Context, g *ir.Graph, budgetBytes int64, inputs ...*tens
 			r0 = rt.Since()
 		}
 		if n.Kind != ir.KindInput {
-			out, err := guard.SafeValue("exec.dispatch", func() (*tensor.Tensor, error) {
-				return dispatch(ctx, g.Name, n, vals, batch)
-			})
+			out, stepCopy, err := runNode(ctx, g.Name, n, vals, batch)
 			if err != nil {
 				return nil, fmt.Errorf("exec: node %s: %w", n, err)
 			}
 			vals[n] = out
 			res.LayerCalls++
-			// This path materializes concat with a copy but always aliases
-			// flatten (the reshape above shares storage).
-			var stepCopy int64
-			switch n.Kind {
-			case ir.KindConcat:
-				stepCopy = int64(out.Len()) * 4
-				acct.copied += stepCopy
-			case ir.KindFlatten:
+			acct.copied += stepCopy
+			if n.Kind == ir.KindFlatten {
 				acct.eliminate(n.OutBytes(batch))
 			}
 			if tr != nil {
@@ -201,89 +197,44 @@ func endSpan(tr *obs.Tracer, t0 obsStart, n *ir.Node, lane uint64, step int, liv
 	})
 }
 
-// dispatch runs node n's kernel. The context reaches the long-running
-// conv/fused kernels, which check it periodically and bail out mid-node;
-// a cancellation there is wrapped as guard.ErrCanceled. The faultinject
-// hook may panic (recovered by the guard.SafeValue wrapper around this
-// call) or sleep, simulating kernel faults and slow nodes.
-func dispatch(ctx context.Context, scope string, n *ir.Node, vals map[*ir.Node]*tensor.Tensor, batch int) (*tensor.Tensor, error) {
-	faultinject.Kernel(scope)
+// runNode gathers node n's inputs from vals and runs it through RunNode,
+// recovering a panicking kernel (or faultinject hook) into
+// guard.ErrInternal.
+func runNode(ctx context.Context, scope string, n *ir.Node, vals map[*ir.Node]*tensor.Tensor, batch int) (out *tensor.Tensor, copied int64, err error) {
 	in := make([]*tensor.Tensor, len(n.Inputs))
 	for i, p := range n.Inputs {
 		t, ok := vals[p]
 		if !ok {
-			return nil, fmt.Errorf("input %s released too early", p)
+			return nil, 0, fmt.Errorf("input %s released too early", p)
 		}
 		in[i] = t
 	}
-	outShape := append([]int{batch}, n.Shape...)
-	switch n.Kind {
-	case ir.KindConv2D:
-		out := tensor.New(outShape...)
-		if err := ops.ConvAutoCtx(ctx, out, in[0], n.W, n.B, n.Conv()); err != nil {
-			return nil, guard.New(guard.ErrCanceled, "exec.dispatch", err)
-		}
-		return out, nil
-	case ir.KindLinear:
-		out := tensor.New(outShape...)
-		if err := ops.LinearCtx(ctx, out, in[0], n.W, n.B, n.Attrs.(*ir.LinearAttrs)); err != nil {
-			return nil, guard.New(guard.ErrCanceled, "exec.dispatch", err)
-		}
-		return out, nil
-	case ir.KindReLU:
-		out := tensor.New(outShape...)
-		ops.ReLU(out, in[0])
-		return out, nil
-	case ir.KindSiLU:
-		out := tensor.New(outShape...)
-		ops.SiLU(out, in[0])
-		return out, nil
-	case ir.KindSigmoid:
-		out := tensor.New(outShape...)
-		ops.Sigmoid(out, in[0])
-		return out, nil
-	case ir.KindBatchNorm:
-		out := tensor.New(outShape...)
-		ops.BatchNorm(out, in[0], n.W, n.B)
-		return out, nil
-	case ir.KindMaxPool:
-		out := tensor.New(outShape...)
-		ops.MaxPool(out, in[0], n.Pool())
-		return out, nil
-	case ir.KindAvgPool:
-		out := tensor.New(outShape...)
-		ops.AvgPool(out, in[0], n.Pool())
-		return out, nil
-	case ir.KindGlobalAvgPool:
-		out := tensor.New(outShape...)
-		ops.GlobalAvgPool(out, in[0])
-		return out, nil
-	case ir.KindUpsample:
-		out := tensor.New(outShape...)
-		ops.Upsample(out, in[0], n.Attrs.(*ir.UpsampleAttrs).Scale)
-		return out, nil
-	case ir.KindAdd:
-		out := tensor.New(outShape...)
-		ops.Add(out, in[0], in[1])
-		return out, nil
-	case ir.KindConcat:
-		out := tensor.New(outShape...)
-		ops.Concat(out, in)
-		return out, nil
-	case ir.KindFlatten:
-		// Pure reshape; shares the input's storage.
-		return in[0].Reshape(outShape...), nil
-	case ir.KindSoftmax:
-		out := tensor.New(outShape...)
-		ops.Softmax(out, in[0])
-		return out, nil
-	case ir.KindFused:
-		out := tensor.New(outShape...)
-		if err := ops.FusedCtx(ctx, out, in[0], n.Fused()); err != nil {
-			return nil, guard.New(guard.ErrCanceled, "exec.dispatch", err)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unsupported kind %v", n.Kind)
+	err = guard.Safe("exec.RunCtx", func() (err error) {
+		out, copied, err = RunNode(ctx, scope, n, in, batch)
+		return err
+	})
+	return out, copied, err
+}
+
+// RunNode prepares node n, allocates its output at the given batch size —
+// a fresh tensor, or for Flatten a reshape sharing the input's storage —
+// and runs the step on in, returning the output and the bytes the step
+// copied. Nothing is kept between calls: executors that run a node once
+// per pass (the map interpreter, the trainer, whose weights change between
+// passes) use it; the engine prepares once and calls Step.Run itself.
+func RunNode(ctx context.Context, scope string, n *ir.Node, in []*tensor.Tensor, batch int) (*tensor.Tensor, int64, error) {
+	s, err := PrepareStep(n)
+	if err != nil {
+		return nil, 0, err
 	}
+	shape := append([]int{batch}, n.Shape...)
+	flat := n.Kind == ir.KindFlatten
+	var out *tensor.Tensor
+	if flat {
+		out = in[0].Reshape(shape...)
+	} else {
+		out = tensor.New(shape...)
+	}
+	copied, err := s.Run(ctx, scope, out, in, nil, flat)
+	return out, copied, err
 }

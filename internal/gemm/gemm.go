@@ -56,41 +56,34 @@ func tileDims[T float]() (int, int) {
 // leading dimension lda, B k×n (ldb), and C m×n (ldc). Work is split over
 // column strips across SetWorkers goroutines. beta==0 never reads C.
 func Gemm(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmAny(true, false, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	gemmAny(false, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // GemmBT is Gemm with B supplied row-major as an n×k matrix and used
 // transposed: C = alpha·A·Bᵀ + beta·C. This is the natural layout for
 // Linear's [Out,In] weight.
 func GemmBT(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmAny(true, false, true, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	gemmAny(false, true, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // GemmAT is Gemm with A supplied row-major as a k×m matrix and used
 // transposed: C = alpha·Aᵀ·B + beta·C (e.g. weight gradients dW = dYᵀ·X).
 func GemmAT(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmAny(true, true, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-// Serial is Gemm restricted to the calling goroutine. Kernels that are
-// already inside a parallelFor region (the fused kernel's per-tile products)
-// use it to avoid nested goroutine fan-out.
-func Serial(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmAny(false, false, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	gemmAny(true, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // Gemm64 is Gemm over float64, used by the linalg decomposition substrate.
 func Gemm64(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	gemmAny(true, false, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	gemmAny(false, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // Gemm64AT is GemmAT over float64 (Gram matrices: G = Aᵀ·A).
 func Gemm64AT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	gemmAny(true, true, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	gemmAny(true, false, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // gemmAny is the shared blocked implementation behind every entry point.
-func gemmAny[T float](parallel, transA, transB bool, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+func gemmAny[T float](transA, transB bool, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	checkDims(transA, transB, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
 	if m == 0 || n == 0 {
 		return
@@ -108,7 +101,7 @@ func gemmAny[T float](parallel, transA, transB bool, m, n, k int, alpha T, a []T
 	defer putWS(apPtr)
 	ap := *apPtr
 	packA(ap, a, lda, m, k, mr, transA)
-	gemmCore(parallel, transB, m, n, k, mr, nr, alpha, ap, b, ldb, nil, beta, c, ldc)
+	gemmCore(true, transB, m, n, k, mr, nr, alpha, ap, b, ldb, nil, beta, c, ldc)
 }
 
 // gemmCore fans the blocked macro-kernel out over NR-aligned column strips.

@@ -151,9 +151,9 @@ func TestParallelForPropagatesWorkerPanic(t *testing.T) {
 	}
 }
 
-// Canceling mid-kernel: ConvAutoCtx and FusedCtx on a cancelable context
-// must return the context error and, when run to completion, match the
-// plain kernels bit-for-bit.
+// Canceling mid-kernel: ConvPlannedCtx and FusedPlannedCtx on a cancelable
+// context must return the context error and, when run to completion, match
+// the uncancelable fast path bit-for-bit.
 func TestCtxKernelsMatchAndCancel(t *testing.T) {
 	r := tensor.NewRNG(11)
 	a := &ir.ConvAttrs{InC: 4, OutC: 6, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}
@@ -161,45 +161,51 @@ func TestCtxKernelsMatchAndCancel(t *testing.T) {
 	w := randT(r, 6, 4, 3, 3)
 	b := randT(r, 6)
 
+	p := PlanConv(a, w, 16, 16, 16, 16)
 	want := tensor.New(2, 6, 16, 16)
-	ConvAuto(want, in, w, b, a)
+	if err := ConvPlannedCtx(context.Background(), want, in, w, b, a, p); err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	got := tensor.New(2, 6, 16, 16)
-	if err := ConvAutoCtx(ctx, got, in, w, b, a); err != nil {
+	if err := ConvPlannedCtx(ctx, got, in, w, b, a, p); err != nil {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(want, got); d != 0 {
 		t.Fatalf("ctx conv deviates by %v", d)
 	}
 	cancel()
-	if err := ConvAutoCtx(ctx, got, in, w, b, a); !errors.Is(err, context.Canceled) {
+	if err := ConvPlannedCtx(ctx, got, in, w, b, a, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled conv: want context.Canceled, got %v", err)
 	}
 
 	fa := &ir.FusedAttrs{InC: 4, MidC: 16, OutC: 4, Act: ir.KindReLU,
 		LW: randT(r, 16, 4, 1, 1), FW: randT(r, 4, 16, 1, 1)}
+	fp := PlanFused(fa)
 	fwant := tensor.New(2, 4, 16, 16)
-	Fused(fwant, in, fa)
+	if err := FusedPlannedCtx(context.Background(), fwant, in, fa, fp); err != nil {
+		t.Fatal(err)
+	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	fgot := tensor.New(2, 4, 16, 16)
-	if err := FusedCtx(ctx2, fgot, in, fa); err != nil {
+	if err := FusedPlannedCtx(ctx2, fgot, in, fa, fp); err != nil {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(fwant, fgot); d != 0 {
 		t.Fatalf("ctx fused deviates by %v", d)
 	}
 	cancel2()
-	if err := FusedCtx(ctx2, fgot, in, fa); !errors.Is(err, context.Canceled) {
+	if err := FusedPlannedCtx(ctx2, fgot, in, fa, fp); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled fused: want context.Canceled, got %v", err)
 	}
 }
 
 // A canceled context must stop Linear before it touches the output: the
 // ctx-aware path used to write the bias rows first and only then consult
-// the context (via the GEMM), leaving a half-written tensor behind. Both
-// the plain and the pre-packed entry points must return the context error
-// with the output untouched, and match Linear exactly when run.
+// the context (via the GEMM), leaving a half-written tensor behind. The
+// pre-packed kernel must return the context error with the output
+// untouched, and match the unpacked GEMM exactly when run.
 func TestLinearCtxCancelWritesNothing(t *testing.T) {
 	r := tensor.NewRNG(13)
 	a := &ir.LinearAttrs{In: 24, Out: 10}
@@ -209,16 +215,12 @@ func TestLinearCtxCancelWritesNothing(t *testing.T) {
 	pw := gemm.PackBT(a.In, a.Out, w.Data, a.In)
 
 	want := tensor.New(3, 10)
-	Linear(want, in, w, b, a)
+	for bi := 0; bi < 3; bi++ {
+		copy(want.Data[bi*10:(bi+1)*10], b.Data)
+	}
+	gemm.GemmBT(3, a.Out, a.In, 1, in.Data, a.In, w.Data, a.In, 1, want.Data, a.Out)
 
 	ctx := context.Background()
-	got := tensor.New(3, 10)
-	if err := LinearCtx(ctx, got, in, w, b, a); err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(want, got); d != 0 {
-		t.Fatalf("ctx linear deviates by %v", d)
-	}
 	pgot := tensor.New(3, 10)
 	if err := LinearPrePackedCtx(ctx, pgot, in, pw, b, a); err != nil {
 		t.Fatal(err)
@@ -230,19 +232,14 @@ func TestLinearCtxCancelWritesNothing(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	const sentinel = -123.5
-	for name, run := range map[string]func(out *tensor.Tensor) error{
-		"LinearCtx":          func(out *tensor.Tensor) error { return LinearCtx(cctx, out, in, w, b, a) },
-		"LinearPrePackedCtx": func(out *tensor.Tensor) error { return LinearPrePackedCtx(cctx, out, in, pw, b, a) },
-	} {
-		out := tensor.New(3, 10)
-		out.Fill(sentinel)
-		if err := run(out); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: want context.Canceled, got %v", name, err)
-		}
-		for i, v := range out.Data {
-			if v != sentinel {
-				t.Fatalf("%s: wrote out[%d]=%v after cancellation", name, i, v)
-			}
+	out := tensor.New(3, 10)
+	out.Fill(sentinel)
+	if err := LinearPrePackedCtx(cctx, out, in, pw, b, a); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	for i, v := range out.Data {
+		if v != sentinel {
+			t.Fatalf("wrote out[%d]=%v after cancellation", i, v)
 		}
 	}
 }

@@ -340,31 +340,12 @@ func (br *directConvBatchRun) run(lo, hi int) {
 	}
 }
 
-// Linear computes out = in·Wᵀ + b with in [N,In], w [Out,In], b [Out]
-// (nil allowed), out [N,Out]: one GEMM with the weight consumed transposed
-// in place (no materialized Wᵀ).
-func Linear(out, in *tensor.Tensor, w, b *tensor.Tensor, a *ir.LinearAttrs) {
-	n := in.Dim(0)
-	beta := linearBias(out, b, n, a.Out)
-	gemm.GemmBT(n, a.Out, a.In, 1, in.Data, a.In, w.Data, a.In, beta, out.Data, a.Out)
-}
-
-// LinearCtx is Linear with the cancellation contract the conv kernels
-// honor: a context that is already done returns its error before any work
-// — in particular before the bias rows are seeded, which the plain path
-// used to write even for requests canceled while queued. Linear is a
+// LinearPrePackedCtx computes out = in·Wᵀ + b with in [N,In], b [Out]
+// (nil allowed), out [N,Out], and the [Out, In] weight W supplied
+// pre-packed by gemm.PackBT: one GEMM, bit-identical to gemm.GemmBT on the
+// unpacked weight. A context that is already done returns its error before
+// any work — in particular before the bias rows are seeded. Linear is a
 // single GEMM, so there is no mid-kernel check to make.
-func LinearCtx(ctx context.Context, out, in *tensor.Tensor, w, b *tensor.Tensor, a *ir.LinearAttrs) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	Linear(out, in, w, b, a)
-	return nil
-}
-
-// LinearPrePackedCtx is LinearCtx with the [Out, In] weight supplied
-// pre-packed by gemm.PackBT — the plan-once/run-many form the compiled
-// engine uses. Bit-identical to Linear on the same operands.
 func LinearPrePackedCtx(ctx context.Context, out, in *tensor.Tensor, pw *gemm.PackedB, b *tensor.Tensor, a *ir.LinearAttrs) error {
 	if err := ctx.Err(); err != nil {
 		return err

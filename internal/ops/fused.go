@@ -60,10 +60,11 @@ func fusedScratchLens(a *ir.FusedAttrs) (offs, valid, xbuf, mid, pooled, ftile i
 	return
 }
 
-// Fused executes a lconv→act→[pool]→fconv sequence without materializing
-// the restored intermediate tensors (paper §3.2, Listing 1). in is
-// [N,InC,H,W] (a reduced tensor), out is [N,OutC,OH,OW] (the next reduced
-// tensor). Per output tile, the kernel:
+// FusedPlannedCtx executes a lconv→act→[pool]→fconv sequence without
+// materializing the restored intermediate tensors (paper §3.2, Listing 1),
+// with the lconv/fconv weights pre-packed by PlanFused. in is [N,InC,H,W]
+// (a reduced tensor), out is [N,OutC,OH,OW] (the next reduced tensor). Per
+// output tile, the kernel:
 //
 //  1. gathers the pre-pool input region the tile needs into a packed
 //     buffer and expands it to C' channels with one GEMM (lconv, a 1×1
@@ -73,27 +74,11 @@ func fusedScratchLens(a *ir.FusedAttrs) (offs, valid, xbuf, mid, pooled, ftile i
 //  4. reduces back to OutC channels with a second GEMM (fconv).
 //
 // All scratch comes from the pooled workspace arena: steady-state calls
-// allocate nothing.
-func Fused(out, in *tensor.Tensor, a *ir.FusedAttrs) {
-	FusedCtx(context.Background(), out, in, a)
-}
-
-// FusedCtx is Fused with the context threaded into the tile loop: workers
-// re-check ctx every few tiles and abandon the rest of the kernel once it
-// is canceled, returning ctx.Err(). The output is then partially written
-// and must be discarded. A context that cannot be canceled takes the exact
-// pre-existing path and costs nothing.
-func FusedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAttrs) error {
-	return fusedPlannedCtx(ctx, out, in, a, nil)
-}
-
-// FusedPlannedCtx is FusedCtx with the lconv/fconv weights supplied
-// pre-packed by PlanFused. Bit-identical to FusedCtx on the same operands.
-func FusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAttrs, p *FusedPlan) error {
-	return fusedPlannedCtx(ctx, out, in, a, p)
-}
-
-func fusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAttrs, plan *FusedPlan) error {
+// allocate nothing. Workers re-check ctx every few tiles and abandon the
+// rest of the kernel once it is canceled, returning ctx.Err(); the output
+// is then partially written and must be discarded. A context that cannot
+// be canceled takes the serial fast path and costs nothing.
+func FusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAttrs, plan *FusedPlan) error {
 	n := in.Dim(0)
 	inC, h, w := in.Dim(1), in.Dim(2), in.Dim(3)
 	outC, outH, outW := out.Dim(1), out.Dim(2), out.Dim(3)
@@ -140,14 +125,14 @@ func fusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAtt
 	return parallelForCtx(ctx, tasks, fr.run)
 }
 
-// fusedRun carries the per-invocation state of Fused so the worker body can
-// be a method rather than a closure: closures handed to parallelFor escape
-// to the heap, while the serial path above calls run directly on a
-// stack-resident value.
+// fusedRun carries the per-invocation state of FusedPlannedCtx so the
+// worker body can be a method rather than a closure: closures handed to
+// parallelFor escape to the heap, while the serial path above calls run
+// directly on a stack-resident value.
 type fusedRun struct {
 	out, in                     *tensor.Tensor
 	a                           *ir.FusedAttrs
-	plan                        *FusedPlan // pre-packed weights; nil packs per call
+	plan                        *FusedPlan // pre-packed lconv/fconv weights
 	inC, h, w                   int
 	outC, outH, outW            int
 	kh, kw, sh, sw, ph, pw      int
@@ -256,11 +241,7 @@ func (fr *fusedRun) run(lo, hi int) {
 			}
 			beta = 1
 		}
-		if fr.plan != nil {
-			gemm.SerialPackedA(rP, 1, fr.plan.lw, xbuf[:inC*rP], rP, beta, mid[:a.MidC*rP], rP)
-		} else {
-			gemm.Serial(a.MidC, rP, inC, 1, a.LW.Data, inC, xbuf[:inC*rP], rP, beta, mid[:a.MidC*rP], rP)
-		}
+		gemm.SerialPackedA(rP, 1, fr.plan.lw, xbuf[:inC*rP], rP, beta, mid[:a.MidC*rP], rP)
 
 		// Step 2: activation over valid positions, zero at padding (a
 		// padded position must not contribute applyAct(bias) downstream).
@@ -401,11 +382,7 @@ func (fr *fusedRun) run(lo, hi int) {
 			}
 			fbeta = 1
 		}
-		if fr.plan != nil {
-			gemm.SerialPackedA(fCols, 1, fr.plan.fw, fsrc[:(a.MidC-1)*fld+fCols], fld, fbeta, ftile[:(outC-1)*fld+fCols], fld)
-		} else {
-			gemm.Serial(outC, fCols, a.MidC, 1, a.FW.Data, a.MidC, fsrc[:(a.MidC-1)*fld+fCols], fld, fbeta, ftile[:(outC-1)*fld+fCols], fld)
-		}
+		gemm.SerialPackedA(fCols, 1, fr.plan.fw, fsrc[:(a.MidC-1)*fld+fCols], fld, fbeta, ftile[:(outC-1)*fld+fCols], fld)
 		for oc := 0; oc < outC; oc++ {
 			src := ftile[oc*fld:]
 			outPlane := (bIdx*outC + oc) * outH * outW
@@ -427,7 +404,7 @@ func (fr *fusedRun) run(lo, hi int) {
 	}
 }
 
-// FusedWorkspaceBytes returns the total scratch footprint of one Fused
+// FusedWorkspaceBytes returns the total scratch footprint of one fused
 // invocation: the per-worker arena buffers (fusedScratchLens) times the
 // worker count. The memory planner charges this (small, constant in H·W)
 // amount instead of the two full-size intermediates the unfused sequence

@@ -1,8 +1,10 @@
 package ops
 
 import (
+	"context"
 	"testing"
 
+	"temco/internal/gemm"
 	"temco/internal/ir"
 	"temco/internal/tensor"
 )
@@ -38,10 +40,10 @@ func TestKernelsDeterministicAcrossWorkers(t *testing.T) {
 			lout: tensor.New(5, 17),
 			fout: tensor.New(3, 5, 6, 6),
 		}
-		Conv2DIm2col(res.conv, in, cw, cb, ca)
-		Conv2D1x1(res.pw1, pin, pw, nil, pa)
-		Linear(res.lout, lin, lw, lb, la)
-		Fused(res.fout, in, fa)
+		convAs(convIm2col, res.conv, in, cw, cb, ca)
+		convAs(convPointwise, res.pw1, pin, pw, nil, pa)
+		linearPlanned(res.lout, lin, lw, lb, la)
+		fusedPlanned(res.fout, in, fa)
 		return res
 	}
 
@@ -67,8 +69,9 @@ func TestKernelsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestConv2D1x1MatchesDirect validates the pointwise fast path against the
-// direct kernel, with and without bias, including multi-batch inputs.
+// TestConv2D1x1MatchesDirect validates the pointwise GEMM kernel against
+// the direct kernel, with and without bias, including multi-batch inputs
+// and shapes PlanConv would send to the direct loop.
 func TestConv2D1x1MatchesDirect(t *testing.T) {
 	r := tensor.NewRNG(12)
 	for _, tc := range []struct {
@@ -90,28 +93,30 @@ func TestConv2D1x1MatchesDirect(t *testing.T) {
 		want := tensor.New(tc.n, tc.outC, tc.h, tc.w)
 		Conv2D(want, in, w, b, a)
 		got := tensor.New(tc.n, tc.outC, tc.h, tc.w)
-		Conv2D1x1(got, in, w, b, a)
+		convAs(convPointwise, got, in, w, b, a)
 		if d := tensor.MaxAbsDiff(want, got); d > 1e-4 {
 			t.Errorf("%+v: 1x1 fast path differs from direct by %v", tc, d)
 		}
 	}
 }
 
-// TestConvAutoDispatch checks that every ConvAuto route computes the same
-// values as the direct reference kernel on shapes that exercise each branch.
-func TestConvAutoDispatch(t *testing.T) {
+// TestPlanConvDispatch checks that PlanConv picks the intended kernel on
+// shapes that exercise each branch, and that every route computes the same
+// values as the reference convolution.
+func TestPlanConvDispatch(t *testing.T) {
 	r := tensor.NewRNG(13)
 	for _, tc := range []struct {
 		name    string
 		a       *ir.ConvAttrs
 		n, h, w int
+		kernel  convKernel
 	}{
-		{"pointwise-large", &ir.ConvAttrs{InC: 16, OutC: 8, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1}, 2, 14, 14},
-		{"pointwise-tiny", &ir.ConvAttrs{InC: 2, OutC: 3, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1}, 1, 3, 3},
-		{"spatial-im2col", &ir.ConvAttrs{InC: 8, OutC: 8, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}, 2, 12, 12},
-		{"spatial-small", &ir.ConvAttrs{InC: 2, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}, 1, 5, 5},
-		{"grouped", &ir.ConvAttrs{InC: 4, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 2}, 2, 10, 10},
-		{"strided-1x1", &ir.ConvAttrs{InC: 8, OutC: 8, KH: 1, KW: 1, SH: 2, SW: 2, Groups: 1}, 1, 14, 14},
+		{"pointwise-large", &ir.ConvAttrs{InC: 16, OutC: 8, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1}, 2, 14, 14, convPointwise},
+		{"pointwise-tiny", &ir.ConvAttrs{InC: 2, OutC: 3, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1}, 1, 3, 3, convDirect},
+		{"spatial-im2col", &ir.ConvAttrs{InC: 8, OutC: 8, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}, 2, 12, 12, convIm2col},
+		{"spatial-small", &ir.ConvAttrs{InC: 2, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}, 1, 5, 5, convDirect},
+		{"grouped", &ir.ConvAttrs{InC: 4, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 2}, 2, 10, 10, convDirect},
+		{"strided-1x1", &ir.ConvAttrs{InC: 8, OutC: 8, KH: 1, KW: 1, SH: 2, SW: 2, Groups: 1}, 1, 14, 14, convDirect},
 	} {
 		icg := tc.a.InC
 		if g := tc.a.Groups; g > 1 {
@@ -123,10 +128,13 @@ func TestConvAutoDispatch(t *testing.T) {
 		outH := (tc.h+2*tc.a.PH-tc.a.KH)/tc.a.SH + 1
 		outW := (tc.w+2*tc.a.PW-tc.a.KW)/tc.a.SW + 1
 		want := refConv2D(in, w, b, tc.a)
+		if k := PlanConv(tc.a, w, tc.h, tc.w, outH, outW).kernel; k != tc.kernel {
+			t.Errorf("%s: PlanConv chose kernel %d, want %d", tc.name, k, tc.kernel)
+		}
 		got := tensor.New(tc.n, tc.a.OutC, outH, outW)
-		ConvAuto(got, in, w, b, tc.a)
+		convPlanned(got, in, w, b, tc.a)
 		if d := tensor.MaxAbsDiff(want, got); d > 1e-4 {
-			t.Errorf("%s: ConvAuto differs from reference by %v", tc.name, d)
+			t.Errorf("%s: planned conv differs from reference by %v", tc.name, d)
 		}
 	}
 }
@@ -164,7 +172,8 @@ func TestFusedWorkspaceMatchesScratch(t *testing.T) {
 }
 
 // TestKernelsZeroAllocSteadyState verifies that after a warm-up call the
-// GEMM-backed kernels run entirely out of the pooled workspace arena.
+// planned GEMM-backed kernels run entirely out of the pooled workspace
+// arena. Planning and packing happen once, outside the timed calls.
 func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -190,10 +199,17 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	lw := randT(r, 32, 64)
 	lout := tensor.New(4, 32)
 
+	cp := PlanConv(ca, cw, 16, 16, 16, 16)
+	if cp.kernel != convIm2col {
+		t.Fatalf("PlanConv chose kernel %d, want im2col", cp.kernel)
+	}
+	fp := PlanFused(fa)
+	lp := gemm.PackBT(la.In, la.Out, lw.Data, la.In)
+	ctx := context.Background()
 	for name, fn := range map[string]func(){
-		"im2col": func() { Conv2DIm2col(cout, cin, cw, cb, ca) },
-		"fused":  func() { Fused(fout, fin, fa) },
-		"linear": func() { Linear(lout, lin, lw, nil, la) },
+		"im2col": func() { _ = ConvPlannedCtx(ctx, cout, cin, cw, cb, ca, cp) },
+		"fused":  func() { _ = FusedPlannedCtx(ctx, fout, fin, fa, fp) },
+		"linear": func() { _ = LinearPrePackedCtx(ctx, lout, lin, lp, nil, la) },
 	} {
 		fn() // warm the workspace pools
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {

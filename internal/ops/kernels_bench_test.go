@@ -1,8 +1,10 @@
 package ops
 
 import (
+	"context"
 	"testing"
 
+	"temco/internal/gemm"
 	"temco/internal/ir"
 	"temco/internal/tensor"
 )
@@ -14,6 +16,7 @@ import (
 // results/kernels.txt records the baseline-vs-gemm comparison.
 func BenchmarkKernels(b *testing.B) {
 	r := tensor.NewRNG(11)
+	ctx := context.Background()
 
 	convAttrs := &ir.ConvAttrs{InC: 64, OutC: 64, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}
 	convIn := tensor.New(4, 64, 56, 56)
@@ -30,11 +33,12 @@ func BenchmarkKernels(b *testing.B) {
 		}
 	})
 	b.Run("conv3x3/im2col", func(b *testing.B) {
-		Conv2DIm2col(convOut, convIn, convW, convB, convAttrs) // warm the workspace pool
+		p := planConvAs(convIm2col, convAttrs, convW, 56, 56, 56, 56)
+		_ = ConvPlannedCtx(ctx, convOut, convIn, convW, convB, convAttrs, p) // warm the workspace pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			Conv2DIm2col(convOut, convIn, convW, convB, convAttrs)
+			_ = ConvPlannedCtx(ctx, convOut, convIn, convW, convB, convAttrs, p)
 		}
 	})
 
@@ -45,12 +49,13 @@ func BenchmarkKernels(b *testing.B) {
 	oneW.FillNormal(r, 0, 0.1)
 	oneB := tensor.New(64)
 	oneOut := tensor.New(4, 64, 56, 56)
-	b.Run("conv1x1/auto", func(b *testing.B) {
-		ConvAuto(oneOut, oneIn, oneW, oneB, oneAttrs) // warm the workspace pool
+	b.Run("conv1x1/planned", func(b *testing.B) {
+		p := PlanConv(oneAttrs, oneW, 56, 56, 56, 56)
+		_ = ConvPlannedCtx(ctx, oneOut, oneIn, oneW, oneB, oneAttrs, p) // warm the workspace pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ConvAuto(oneOut, oneIn, oneW, oneB, oneAttrs)
+			_ = ConvPlannedCtx(ctx, oneOut, oneIn, oneW, oneB, oneAttrs, p)
 		}
 	})
 
@@ -62,11 +67,12 @@ func BenchmarkKernels(b *testing.B) {
 	linB := tensor.New(512)
 	linOut := tensor.New(32, 512)
 	b.Run("linear/32x512x512", func(b *testing.B) {
-		Linear(linOut, linIn, linW, linB, linAttrs) // warm the workspace pool
+		pw := gemm.PackBT(linAttrs.In, linAttrs.Out, linW.Data, linAttrs.In)
+		_ = LinearPrePackedCtx(ctx, linOut, linIn, pw, linB, linAttrs) // warm the workspace pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			Linear(linOut, linIn, linW, linB, linAttrs)
+			_ = LinearPrePackedCtx(ctx, linOut, linIn, pw, linB, linAttrs)
 		}
 	})
 
@@ -82,11 +88,12 @@ func BenchmarkKernels(b *testing.B) {
 	fIn.FillNormal(r, 0, 1)
 	fOut := tensor.New(4, 6, 32, 32)
 	b.Run("fused/lconv-relu-pool-fconv", func(b *testing.B) {
-		Fused(fOut, fIn, fAttrs) // warm the workspace pool
+		p := PlanFused(fAttrs)
+		_ = FusedPlannedCtx(ctx, fOut, fIn, fAttrs, p) // warm the workspace pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			Fused(fOut, fIn, fAttrs)
+			_ = FusedPlannedCtx(ctx, fOut, fIn, fAttrs, p)
 		}
 	})
 }

@@ -1,10 +1,12 @@
 package ops
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"temco/internal/gemm"
 	"temco/internal/ir"
 	"temco/internal/tensor"
 )
@@ -56,6 +58,36 @@ func randT(r *tensor.RNG, shape ...int) *tensor.Tensor {
 	return t
 }
 
+// convPlanned runs conv through the kernel PlanConv picks for the shape.
+func convPlanned(out, in, w, b *tensor.Tensor, a *ir.ConvAttrs) {
+	p := PlanConv(a, w, in.Dim(2), in.Dim(3), out.Dim(2), out.Dim(3))
+	if err := ConvPlannedCtx(context.Background(), out, in, w, b, a, p); err != nil {
+		panic(err)
+	}
+}
+
+// convAs runs conv through kernel k whatever PlanConv would pick, so the
+// GEMM kernels are exercised on shapes the dispatch sends elsewhere.
+func convAs(k convKernel, out, in, w, b *tensor.Tensor, a *ir.ConvAttrs) {
+	p := planConvAs(k, a, w, in.Dim(2), in.Dim(3), out.Dim(2), out.Dim(3))
+	if err := ConvPlannedCtx(context.Background(), out, in, w, b, a, p); err != nil {
+		panic(err)
+	}
+}
+
+func fusedPlanned(out, in *tensor.Tensor, a *ir.FusedAttrs) {
+	if err := FusedPlannedCtx(context.Background(), out, in, a, PlanFused(a)); err != nil {
+		panic(err)
+	}
+}
+
+func linearPlanned(out, in, w, b *tensor.Tensor, a *ir.LinearAttrs) {
+	pw := gemm.PackBT(a.In, a.Out, w.Data, a.In)
+	if err := LinearPrePackedCtx(context.Background(), out, in, pw, b, a); err != nil {
+		panic(err)
+	}
+}
+
 func TestConv2DMatchesReference(t *testing.T) {
 	r := tensor.NewRNG(1)
 	cases := []*ir.ConvAttrs{
@@ -90,7 +122,7 @@ func TestLinearKnown(t *testing.T) {
 	w := tensor.FromSlice([]float32{1, 0, 0, 0, 1, 1}, 2, 3)
 	b := tensor.FromSlice([]float32{10, 20}, 2)
 	out := tensor.New(1, 2)
-	Linear(out, in, w, b, &ir.LinearAttrs{In: 3, Out: 2})
+	linearPlanned(out, in, w, b, &ir.LinearAttrs{In: 3, Out: 2})
 	if out.Data[0] != 11 || out.Data[1] != 25 {
 		t.Fatalf("Linear = %v", out.Data)
 	}
@@ -300,7 +332,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 			in := randT(r, 2, a.InC, c.h, c.w)
 			ref := fusedReference(in, a)
 			out := tensor.New(ref.Shape...)
-			Fused(out, in, a)
+			fusedPlanned(out, in, a)
 			if d := tensor.MaxAbsDiff(out, ref); d > 1e-3 {
 				t.Fatalf("fused deviates from unfused by %v", d)
 			}
@@ -346,7 +378,7 @@ func TestQuickFusedEquivalence(t *testing.T) {
 		in := randT(r, 1+r.Intn(2), inC, h, w)
 		ref := fusedReference(in, a)
 		out := tensor.New(ref.Shape...)
-		Fused(out, in, a)
+		fusedPlanned(out, in, a)
 		return tensor.MaxAbsDiff(out, ref) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -435,7 +467,7 @@ func TestTailFusionMatchesUnfused(t *testing.T) {
 			in := randT(r, 2, 5, 13, 13)
 			ref := fusedReference(in, a)
 			out := tensor.New(ref.Shape...)
-			Fused(out, in, a)
+			fusedPlanned(out, in, a)
 			if d := tensor.MaxAbsDiff(out, ref); d > 1e-3 {
 				t.Fatalf("tail fusion deviates by %v", d)
 			}
@@ -444,7 +476,8 @@ func TestTailFusionMatchesUnfused(t *testing.T) {
 }
 
 // TestIm2colMatchesDirect: the GEMM lowering must agree with the direct
-// kernel over strides, padding, and asymmetric kernels.
+// kernel over strides, padding, and asymmetric kernels, and so must
+// whichever kernel PlanConv picks.
 func TestIm2colMatchesDirect(t *testing.T) {
 	r := tensor.NewRNG(41)
 	cases := []*ir.ConvAttrs{
@@ -452,7 +485,7 @@ func TestIm2colMatchesDirect(t *testing.T) {
 		{InC: 8, OutC: 4, KH: 5, KW: 5, SH: 2, SW: 2, PH: 2, PW: 2, Groups: 1},
 		{InC: 6, OutC: 6, KH: 3, KW: 1, SH: 2, SW: 1, PH: 1, PW: 0, Groups: 1},
 		{InC: 5, OutC: 7, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1},
-		{InC: 4, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 4}, // grouped → fallback
+		{InC: 4, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 4}, // grouped → direct
 	}
 	for i, a := range cases {
 		in := randT(r, 2, a.InC, 11, 9)
@@ -462,15 +495,17 @@ func TestIm2colMatchesDirect(t *testing.T) {
 		ow := (9+2*a.PW-a.KW)/a.SW + 1
 		want := tensor.New(2, a.OutC, oh, ow)
 		Conv2D(want, in, w, b, a)
-		got := tensor.New(2, a.OutC, oh, ow)
-		Conv2DIm2col(got, in, w, b, a)
-		if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
-			t.Errorf("case %d: im2col deviates by %v", i, d)
+		if a.Groups <= 1 {
+			got := tensor.New(2, a.OutC, oh, ow)
+			convAs(convIm2col, got, in, w, b, a)
+			if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
+				t.Errorf("case %d: im2col deviates by %v", i, d)
+			}
 		}
-		auto := tensor.New(2, a.OutC, oh, ow)
-		ConvAuto(auto, in, w, b, a)
-		if d := tensor.MaxAbsDiff(auto, want); d > 1e-4 {
-			t.Errorf("case %d: ConvAuto deviates by %v", i, d)
+		planned := tensor.New(2, a.OutC, oh, ow)
+		convPlanned(planned, in, w, b, a)
+		if d := tensor.MaxAbsDiff(planned, want); d > 1e-4 {
+			t.Errorf("case %d: PlanConv's kernel deviates by %v", i, d)
 		}
 	}
 }
@@ -494,7 +529,7 @@ func TestQuickIm2colEquivalence(t *testing.T) {
 		want := tensor.New(in.Dim(0), a.OutC, oh, ow)
 		Conv2D(want, in, wt, nil, a)
 		got := tensor.New(in.Dim(0), a.OutC, oh, ow)
-		Conv2DIm2col(got, in, wt, nil, a)
+		convAs(convIm2col, got, in, wt, nil, a)
 		return tensor.MaxAbsDiff(got, want) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

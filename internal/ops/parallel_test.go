@@ -30,10 +30,10 @@ func TestKernelsSingleWorker(t *testing.T) {
 	fa := &ir.FusedAttrs{InC: 4, MidC: 16, OutC: 4, Act: ir.KindReLU,
 		LW: randT(r, 16, 4, 1, 1), FW: randT(r, 4, 16, 1, 1)}
 	out1 := tensor.New(2, 4, 9, 9)
-	Fused(out1, in, fa)
+	fusedPlanned(out1, in, fa)
 	Workers = old
 	out2 := tensor.New(2, 4, 9, 9)
-	Fused(out2, in, fa)
+	fusedPlanned(out2, in, fa)
 	if d := tensor.MaxAbsDiff(out1, out2); d != 0 {
 		t.Fatalf("serial and parallel fused differ by %v", d)
 	}

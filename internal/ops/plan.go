@@ -8,14 +8,13 @@ import (
 	"temco/internal/tensor"
 )
 
-// Compile-time kernel plans. ConvAutoCtx re-derives the kernel choice,
-// re-packs the weight panels, and re-computes the im2col gather geometry on
-// every call; for a graph executed many times all of that is a function of
-// the node alone. PlanConv/PlanFused hoist it out of the run loop, and the
-// *PlannedCtx kernels consume the prepared plan. Planned execution is
-// bit-identical to the auto path: the plan replicates ConvAutoCtx's
-// dispatch thresholds exactly and the pre-packed GEMMs share the blocked
-// core's schedule.
+// Kernel plans. The kernel choice, the packed weight panels, and the
+// im2col gather geometry of a conv or fused node are a function of the
+// node alone, so PlanConv/PlanFused compute them once and the *PlannedCtx
+// kernels consume the plan on every run. PlanConv is the one conv kernel
+// decision: every executor reaches conv through it (via exec.PrepareStep),
+// and direct Conv2D stays as the kernel reference the GEMM paths are
+// tested against.
 
 // convKernel names the kernel a ConvPlan selected.
 type convKernel uint8
@@ -52,38 +51,54 @@ func (p *ConvPlan) PackedBytes() int64 {
 }
 
 // PlanConv prepares a Conv2D with input plane inH×inW and output plane
-// outH×outW. The kernel choice replicates ConvAutoCtx's dispatch
-// thresholds exactly, so planned and auto execution pick the same kernel.
+// outH×outW, choosing the fastest kernel for the shape. Pointwise 1×1
+// convolutions (unit stride, no padding, no groups) run as one GEMM per
+// batch element with no unfolding (measured 143× vs the direct loop at
+// N=4, 256→64, 56×56 — see results/kernels.txt) unless the GEMM is tiny
+// (outHW·InC < 256), where packing overhead dominates. Ungrouped spatial
+// kernels take the im2col lowering (measured 6.4× at N=4, 64→64, 56×56,
+// 3×3) once the patch matrix is big enough to amortize the unfold: at
+// least 64 output pixels and 4 input channels, below which the direct
+// loop's smaller working set wins. Grouped convs always run direct.
 func PlanConv(a *ir.ConvAttrs, w *tensor.Tensor, inH, inW, outH, outW int) *ConvPlan {
 	g := a.Groups
 	if g == 0 {
 		g = 1
 	}
 	outHW := outH * outW
-	p := &ConvPlan{}
+	k := convDirect
 	switch {
 	case is1x1Pointwise(a) && outHW*a.InC >= 256:
-		p.kernel = convPointwise
-		p.rows, p.cols = a.InC, outHW
-		p.pw = gemm.PackA(a.OutC, a.InC, w.Data, a.InC)
+		k = convPointwise
 	case g == 1 && a.KH*a.KW > 1 && outHW >= 64 && a.InC >= 4:
-		p.kernel = convIm2col
-		p.rows, p.cols = a.InC*a.KH*a.KW, outHW
+		k = convIm2col
+	}
+	return planConvAs(k, a, w, inH, inW, outH, outW)
+}
+
+// planConvAs builds the plan for kernel k, which must suit the conv:
+// pointwise needs a 1×1 pure channel mix, im2col an ungrouped conv.
+func planConvAs(k convKernel, a *ir.ConvAttrs, w *tensor.Tensor, inH, inW, outH, outW int) *ConvPlan {
+	p := &ConvPlan{kernel: k}
+	switch k {
+	case convPointwise:
+		p.rows, p.cols = a.InC, outH*outW
+		p.pw = gemm.PackA(a.OutC, a.InC, w.Data, a.InC)
+	case convIm2col:
+		p.rows, p.cols = a.InC*a.KH*a.KW, outH*outW
 		p.pw = gemm.PackA(a.OutC, p.rows, w.Data, p.rows)
 		p.idx = im2colIndex(inH, inW, outH, outW, a)
-	default:
-		p.kernel = convDirect
 	}
 	return p
 }
 
 // ConvPlannedCtx executes a planned convolution; out/in must have the
-// spatial dimensions the plan was built for (any batch size). A nil plan
-// falls back to ConvAutoCtx. Same cancellation contract as ConvAutoCtx.
+// spatial dimensions the plan was built for (any batch size). Long
+// convolutions check ctx periodically (between batch elements or output
+// planes) and return ctx.Err() once it is canceled, so a canceled request
+// stops mid-node; the output then holds partial garbage and must be
+// discarded. A context that cannot be canceled costs nothing.
 func ConvPlannedCtx(ctx context.Context, out, in *tensor.Tensor, w, b *tensor.Tensor, a *ir.ConvAttrs, p *ConvPlan) error {
-	if p == nil {
-		return ConvAutoCtx(ctx, out, in, w, b, a)
-	}
 	switch p.kernel {
 	case convPointwise:
 		return conv1x1PlannedCtx(ctx, out, in, b, p)
@@ -94,7 +109,11 @@ func ConvPlannedCtx(ctx context.Context, out, in *tensor.Tensor, w, b *tensor.Te
 	}
 }
 
-// conv1x1PlannedCtx mirrors conv2D1x1Ctx with the weight pre-packed.
+// conv1x1PlannedCtx is the pointwise kernel: out[bi] = W[OutC×InC] ·
+// in[bi][InC×H·W], one GEMM per batch element with the weight pre-packed.
+// With enough batch elements to keep every worker busy it parallelizes
+// over the batch with a serial GEMM each; otherwise it runs the elements
+// in order and lets the GEMM fan out.
 func conv1x1PlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Tensor, p *ConvPlan) error {
 	n := in.Dim(0)
 	inC := in.Dim(1)
@@ -120,9 +139,11 @@ func conv1x1PlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Te
 	return nil
 }
 
-// im2colPlannedCtx mirrors conv2DIm2colCtx with the weight pre-packed and
-// the window unfold driven by the plan's gather table instead of
-// re-deriving offsets per call.
+// im2colPlannedCtx lowers the convolution to a matrix product: each batch
+// element's input windows are unfolded through the plan's gather table
+// into a pooled column matrix, and out[bi] = W[OutC × InC·KH·KW] ·
+// col[InC·KH·KW × OH·OW] (+ bias) is one GEMM against the pre-packed
+// weight. Same batch/GEMM parallel split as conv1x1PlannedCtx.
 func im2colPlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Tensor, p *ConvPlan) error {
 	n := in.Dim(0)
 	inC := in.Dim(1)
@@ -198,6 +219,30 @@ func im2colIndexed(colBuf []float32, in *tensor.Tensor, bi, inC, inHW int, idx [
 			}
 		}
 	}
+}
+
+// biasFill prepares a [rows × cols] output slab for a beta-accumulating
+// GEMM: with a bias it seeds every row with its bias value and returns
+// beta=1; without, it returns beta=0 so the GEMM skips reading C entirely.
+func biasFill(dst []float32, cols int, b *tensor.Tensor) float32 {
+	if b == nil {
+		return 0
+	}
+	for r := 0; r < len(dst)/cols; r++ {
+		row := dst[r*cols : (r+1)*cols]
+		bv := b.Data[r]
+		for i := range row {
+			row[i] = bv
+		}
+	}
+	return 1
+}
+
+// is1x1Pointwise reports whether the conv is a pure channel mixing: 1×1
+// kernel, unit stride, no padding, no groups.
+func is1x1Pointwise(a *ir.ConvAttrs) bool {
+	return a.KH == 1 && a.KW == 1 && a.SH == 1 && a.SW == 1 &&
+		a.PH == 0 && a.PW == 0 && (a.Groups == 0 || a.Groups == 1)
 }
 
 // FusedPlan pre-packs a fused node's lconv and fconv weights as the A

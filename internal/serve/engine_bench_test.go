@@ -1,13 +1,11 @@
 package serve
 
 // BenchmarkEngineServe measures end-to-end serving throughput through the
-// full Session path (queue, breaker, worker) with the compiled engine on
-// vs off, on Fig. 11 models. The req/s metric is the acceptance number
-// recorded in results/engine.txt.
+// full Session path (queue, breaker, worker, compiled engine) on Fig. 11
+// models. The req/s metric is the number recorded in results/engine.txt.
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"temco/internal/decompose"
@@ -43,32 +41,30 @@ func benchGraphs(tb testing.TB, name string) (opt, fb *ir.Graph) {
 func BenchmarkEngineServe(b *testing.B) {
 	for _, name := range []string{"alexnet", "vgg11", "resnet18"} {
 		opt, fb := benchGraphs(b, name)
-		for _, engineOn := range []bool{true, false} {
-			b.Run(fmt.Sprintf("%s/engine=%v", name, engineOn), func(b *testing.B) {
-				s, err := New(opt, fb, Config{Workers: 1, NoEngine: !engineOn})
-				if err != nil {
-					b.Fatal(err)
-				}
-				x := tensor.New(append([]int{1}, opt.Inputs[0].Shape...)...)
-				x.FillNormal(tensor.NewRNG(17), 0, 1)
-				ctx := context.Background()
-				req := Request{Inputs: []*tensor.Tensor{x}}
-				// Warm the engine's per-batch buffers out of the timed loop.
+		b.Run(name, func(b *testing.B) {
+			s, err := New(opt, fb, Config{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := tensor.New(append([]int{1}, opt.Inputs[0].Shape...)...)
+			x.FillNormal(tensor.NewRNG(17), 0, 1)
+			ctx := context.Background()
+			req := Request{Inputs: []*tensor.Tensor{x}}
+			// Warm the engine's per-batch buffers out of the timed loop.
+			if _, err := s.Infer(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := s.Infer(ctx, req); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Infer(ctx, req); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-				if err := s.Close(ctx); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			if err := s.Close(ctx); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -113,8 +113,14 @@ func (q *queue) popUntil(deadline time.Time) (*item, bool) {
 		}
 		if wake == nil {
 			// cond.Wait cannot time out; a one-shot broadcast at the
-			// deadline bounds the wait without polling.
-			wake = time.AfterFunc(d, q.cond.Broadcast)
+			// deadline bounds the wait without polling. The broadcast takes
+			// q.mu so it cannot land between the deadline check above and
+			// Wait registering, where it would be lost.
+			wake = time.AfterFunc(d, func() {
+				q.mu.Lock()
+				q.cond.Broadcast()
+				q.mu.Unlock()
+			})
 		}
 		q.cond.Wait()
 	}

@@ -4,9 +4,9 @@
 // worker pool with per-request deadlines. Each worker owns a compiled
 // engine.Instance per graph (plan-once/run-many: pre-packed weights and a
 // private arena slab, so the steady-state hot path allocates nothing and
-// workers never contend on buffers); when the engine is disabled or a
-// graph fails to compile, the worker falls back to the exec.RunCtx
-// interpreter, which is bit-identical. Failures are absorbed in layers:
+// workers never contend on buffers); when a graph fails to compile, the
+// worker falls back to the exec.RunCtx interpreter, which runs the same
+// kernel steps and is bit-identical. Failures are absorbed in layers:
 //
 //   - admission control: a full queue sheds load immediately with
 //     guard.ErrOverloaded instead of growing latency without bound;
@@ -56,8 +56,10 @@ type Config struct {
 	// simultaneous failures across workers do not retry in lockstep.
 	// Default 2ms.
 	RetryBackoff time.Duration
-	// BudgetBytes is the per-request peak-memory budget handed to
-	// exec.RunCtx (0 = unlimited).
+	// BudgetBytes is the per-request peak-memory budget (0 = unlimited).
+	// The compiled engine accounts it the arena way (slab + largest kernel
+	// workspace); a graph served by the exec.RunCtx interpreter fallback
+	// accounts it by live-tensor tracking.
 	BudgetBytes int64
 	// BreakerThreshold is how many consecutive optimized-graph failures
 	// trip the circuit breaker. Default 3.
@@ -65,14 +67,6 @@ type Config struct {
 	// ProbeInterval is how long the breaker stays open before letting one
 	// probe request test the optimized graph again. Default 1s.
 	ProbeInterval time.Duration
-	// NoEngine disables the compiled engine and serves every request
-	// through the exec.RunCtx interpreter. The zero value keeps the engine
-	// on; it also stays on when compilation fails (the session silently
-	// serves that graph interpreted — outputs are identical either way).
-	// With the engine on, the memory budget is accounted the arena way
-	// (slab + largest kernel workspace, as exec.RunArenaCtx does) rather
-	// than by live-tensor tracking.
-	NoEngine bool
 	// MaxBatchSize enables dynamic request batching when > 1: a coalescer
 	// between the admission queue and the worker pool packs up to this
 	// many compatible sample rows (same graph inputs, same priority class)
@@ -226,10 +220,9 @@ type Session struct {
 	q       *queue
 	br      *breaker
 
-	// optEng/fbEng are the compiled engines, nil when Config.NoEngine is
-	// set or the graph did not compile (that graph then serves through the
-	// interpreter). Engines are immutable and shared; each worker holds its
-	// own Instances.
+	// optEng/fbEng are the compiled engines, nil when the graph did not
+	// compile (that graph then serves through the interpreter). Engines
+	// are immutable and shared; each worker holds its own Instances.
 	optEng, fbEng *engine.Engine
 
 	// buckets is the runtime batch-bucket ladder (ascending), clipped to
@@ -294,17 +287,15 @@ func New(optimized, fallback *ir.Graph, cfg Config) (*Session, error) {
 	} else {
 		s.buckets = []int{1}
 	}
-	if !cfg.NoEngine {
-		// Compile-or-fall-back: an engine that will not compile (e.g. an
-		// unsupported node kind) is not an error — the interpreter serves
-		// that graph with identical outputs, just without the plan reuse.
-		// The whole bucket ladder is planned here, at session start, so no
-		// request ever pays the O(n²) layout check on the hot path.
-		ladder := append(append([]int(nil), cfg.BatchBuckets...), s.buckets...)
-		opts := engine.Options{Batch: 1, Batches: ladder, BudgetBytes: cfg.BudgetBytes}
-		s.optEng, _ = engine.Compile(optimized, opts)
-		s.fbEng, _ = engine.Compile(fallback, opts)
-	}
+	// Compile-or-fall-back: an engine that will not compile (e.g. a layout
+	// that fails its check) is not an error — the interpreter serves that
+	// graph with identical outputs, just without the plan reuse. The whole
+	// bucket ladder is planned here, at session start, so no request ever
+	// pays the O(n²) layout check on the hot path.
+	ladder := append(append([]int(nil), cfg.BatchBuckets...), s.buckets...)
+	opts := engine.Options{Batch: 1, Batches: ladder, BudgetBytes: cfg.BudgetBytes}
+	s.optEng, _ = engine.Compile(optimized, opts)
+	s.fbEng, _ = engine.Compile(fallback, opts)
 	// Instruments go live after the structures their sampled closures read
 	// (queue, breaker, engines) exist, and before any worker starts.
 	s.met = newSessionMetrics(s)

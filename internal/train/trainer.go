@@ -1,12 +1,13 @@
 package train
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"temco/internal/exec"
 	"temco/internal/ir"
 	"temco/internal/memplan"
-	"temco/internal/ops"
 	"temco/internal/tensor"
 )
 
@@ -37,6 +38,8 @@ func New(g *ir.Graph, lr, momentum float64) *Trainer {
 }
 
 // forward runs the graph keeping every activation (needed by backward).
+// exec.RunNode prepares each step per pass, so the packed weights follow
+// the SGD updates.
 func (t *Trainer) forward(x *tensor.Tensor) (map[*ir.Node]*tensor.Tensor, error) {
 	vals := make(map[*ir.Node]*tensor.Tensor, len(t.G.Nodes))
 	if len(t.G.Inputs) != 1 {
@@ -48,42 +51,16 @@ func (t *Trainer) forward(x *tensor.Tensor) (map[*ir.Node]*tensor.Tensor, error)
 		if n.Kind == ir.KindInput {
 			continue
 		}
-		out := tensor.New(append([]int{batch}, n.Shape...)...)
+		if n.Kind == ir.KindFused {
+			return nil, fmt.Errorf("%w: %v", errUnsupported, n.Kind)
+		}
 		in := make([]*tensor.Tensor, len(n.Inputs))
 		for i, p := range n.Inputs {
 			in[i] = vals[p]
 		}
-		switch n.Kind {
-		case ir.KindConv2D:
-			ops.ConvAuto(out, in[0], n.W, n.B, n.Conv())
-		case ir.KindLinear:
-			ops.Linear(out, in[0], n.W, n.B, n.Attrs.(*ir.LinearAttrs))
-		case ir.KindReLU:
-			ops.ReLU(out, in[0])
-		case ir.KindSiLU:
-			ops.SiLU(out, in[0])
-		case ir.KindSigmoid:
-			ops.Sigmoid(out, in[0])
-		case ir.KindBatchNorm:
-			ops.BatchNorm(out, in[0], n.W, n.B)
-		case ir.KindMaxPool:
-			ops.MaxPool(out, in[0], n.Pool())
-		case ir.KindAvgPool:
-			ops.AvgPool(out, in[0], n.Pool())
-		case ir.KindGlobalAvgPool:
-			ops.GlobalAvgPool(out, in[0])
-		case ir.KindUpsample:
-			ops.Upsample(out, in[0], n.Attrs.(*ir.UpsampleAttrs).Scale)
-		case ir.KindAdd:
-			ops.Add(out, in[0], in[1])
-		case ir.KindConcat:
-			ops.Concat(out, in)
-		case ir.KindFlatten:
-			out = in[0].Reshape(append([]int{batch}, n.Shape...)...)
-		case ir.KindSoftmax:
-			ops.Softmax(out, in[0])
-		default:
-			return nil, fmt.Errorf("%w: %v", errUnsupported, n.Kind)
+		out, _, err := exec.RunNode(context.TODO(), t.G.Name, n, in, batch)
+		if err != nil {
+			return nil, fmt.Errorf("train: node %s: %w", n, err)
 		}
 		vals[n] = out
 	}
