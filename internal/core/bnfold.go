@@ -12,8 +12,9 @@ import (
 // scale·B+shift). This standard inference optimization leaves the graphs
 // in conv→activation form, which is what both the decomposition rewrite
 // and the fusion pattern matcher expect. Folding only applies when the
-// convolution's sole consumer is the batchnorm; weights are copied, never
-// mutated in place (they may be shared with other graph clones).
+// convolution's sole consumer is the batchnorm and its weight is dense (a
+// block-diagonal conv is left alone); weights are copied, never mutated in
+// place (they may be shared with other graph clones).
 func FoldBatchNorm(g *ir.Graph) Stats {
 	var st Stats
 	uses := g.UseCounts()
@@ -27,6 +28,9 @@ func FoldBatchNorm(g *ir.Graph) Stats {
 			continue
 		}
 		a := c.Conv()
+		if a.Blocks != nil {
+			continue
+		}
 		g2 := a.Groups
 		if g2 == 0 {
 			g2 = 1

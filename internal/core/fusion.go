@@ -45,6 +45,7 @@ func FuseActivations(g *ir.Graph, cfg Config) Stats {
 			InC: la.InC, MidC: la.OutC, OutC: fa.OutC,
 			Act: x.Kind,
 			LW:  a.W, LB: a.B, FW: c.W, FB: c.B,
+			LBlocks: la.Blocks,
 		}
 		if pool != nil {
 			p := *pool.Pool()
@@ -104,6 +105,7 @@ func FuseActivations(g *ir.Graph, cfg Config) Stats {
 			InC: la.InC, MidC: la.OutC, OutC: la.OutC,
 			Act: x.Kind,
 			LW:  a.W, LB: a.B,
+			LBlocks: la.Blocks,
 		}
 		if pool != nil {
 			p := *pool.Pool()

@@ -114,7 +114,8 @@ func sinkUpsamples(g *ir.Graph) int {
 	return count
 }
 
-// conv1x1 reports whether n is a plain 1×1 stride-1 unpadded convolution.
+// conv1x1 reports whether n is a plain 1×1 stride-1 unpadded convolution
+// with a dense weight (the rewrites that take one read its W densely).
 func conv1x1(n *ir.Node) bool {
 	if n.Kind != ir.KindConv2D {
 		return false
@@ -124,12 +125,14 @@ func conv1x1(n *ir.Node) bool {
 	if g == 0 {
 		g = 1
 	}
-	return a.KH == 1 && a.KW == 1 && a.SH == 1 && a.SW == 1 && a.PH == 0 && a.PW == 0 && g == 1
+	return a.KH == 1 && a.KW == 1 && a.SH == 1 && a.SW == 1 && a.PH == 0 && a.PW == 0 && g == 1 && a.Blocks == nil
 }
 
 // mergeLConvsAtConcat rewrites concat(act(lconv_1(r_1)), …, act(lconv_k(r_k)))
 // feeding an fconv into act(lconvM(concat(r_1, …, r_k))) with block-diagonal
-// merged weights (paper Fig. 9a). Returns the number of merges.
+// merged weights (paper Fig. 9a). lconvM carries the block list, so neither
+// its weight nor its kernels hold the off-diagonal zeros. Returns the
+// number of merges.
 func mergeLConvsAtConcat(g *ir.Graph) int {
 	uses := g.UseCounts()
 	succs := g.Succs()
@@ -183,29 +186,29 @@ func mergeLConvsAtConcat(g *ir.Graph) int {
 		}
 		newCC := &ir.Node{ID: g.NewID(), Name: cc.Name + ".reduced", Kind: ir.KindConcat,
 			Inputs: reduced, Shape: ccShape}
-		// Merged block-diagonal lconv: [ΣC_i, ΣR_i].
-		var sumC, sumR int
-		for _, l := range lconvs {
-			sumC += l.Conv().OutC
-			sumR += l.Conv().InC
-		}
-		w := tensor.New(sumC, sumR, 1, 1)
-		bias := tensor.New(sumC)
-		cOff, rOff := 0, 0
+		// Merged block-diagonal lconv [ΣC_i, ΣR_i]: only the diagonal blocks
+		// are stored, each branch's weight back to back. A branch that is
+		// itself a merged lconv contributes its own blocks.
+		var sumC, sumR, nW int
+		var blocks []ir.ConvBlock
 		for _, l := range lconvs {
 			la := l.Conv()
-			for o := 0; o < la.OutC; o++ {
-				for r := 0; r < la.InC; r++ {
-					w.Data[(cOff+o)*sumR+(rOff+r)] = l.W.Data[o*la.InC+r]
-				}
-				if l.B != nil {
-					bias.Data[cOff+o] = l.B.Data[o]
-				}
-			}
-			cOff += la.OutC
-			rOff += la.InC
+			sumC += la.OutC
+			sumR += la.InC
+			nW += l.W.Len()
+			blocks = append(blocks, ir.ChannelBlocks(la.Blocks, la.InC, la.OutC)...)
 		}
-		mAttrs := &ir.ConvAttrs{InC: sumR, OutC: sumC, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1}
+		w := tensor.New(nW)
+		bias := tensor.New(sumC)
+		wOff, cOff := 0, 0
+		for _, l := range lconvs {
+			wOff += copy(w.Data[wOff:], l.W.Data)
+			if l.B != nil {
+				copy(bias.Data[cOff:], l.B.Data)
+			}
+			cOff += l.Conv().OutC
+		}
+		mAttrs := &ir.ConvAttrs{InC: sumR, OutC: sumC, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1, Blocks: blocks}
 		mShape, err := ir.InferShape(ir.KindConv2D, mAttrs, [][]int{newCC.Shape})
 		if err != nil {
 			continue

@@ -13,9 +13,10 @@
 // comes from the pooled workspace arena (workspace.go), so steady-state
 // calls allocate nothing.
 //
-// All entry points compute C = alpha·A·B + beta·C and are deterministic:
-// per-element accumulation order is independent of the worker count, so
-// serial and parallel runs produce bit-identical results.
+// All entry points compute C = alpha·A·B + beta·C (the pre-packed bias
+// entry points C = A·B + bias, adding a per-row bias in the write-back) and
+// are deterministic: per-element accumulation order is independent of the
+// worker count, so serial and parallel runs produce bit-identical results.
 package gemm
 
 import (
@@ -101,19 +102,21 @@ func gemmAny[T float](transA, transB bool, m, n, k int, alpha T, a []T, lda int,
 	defer putWS(apPtr)
 	ap := *apPtr
 	packA(ap, a, lda, m, k, mr, transA)
-	gemmCore(true, transB, m, n, k, mr, nr, alpha, ap, b, ldb, nil, beta, c, ldc)
+	gemmCore(true, transB, m, n, k, mr, nr, alpha, ap, b, ldb, nil, beta, nil, c, ldc)
 }
 
 // gemmCore fans the blocked macro-kernel out over NR-aligned column strips.
 // ap is A fully packed in packA layout (pooled or pre-packed by the caller).
 // When pb is non-nil it is the pre-packed full-width B (PackedB layout) and
 // b/ldb are ignored; otherwise each strip packs its own B blocks from b.
-// The strip schedule depends only on (m, n, k, nr), so pre-packed and
-// pack-on-the-fly runs produce bit-identical results.
-func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, c []T, ldc int) {
+// A non-nil bias (m values, beta must be 0) is added to every element of
+// its row as the first KC slice is written. The strip schedule depends
+// only on (m, n, k, nr), so pre-packed and pack-on-the-fly runs produce
+// bit-identical results.
+func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias, c []T, ldc int) {
 	w := Workers()
 	if !parallel || w <= 1 || n < 2*nr || m*n*k < 1<<15 {
-		gemmStrip(0, n, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, c, ldc)
+		gemmStrip(0, n, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, c, ldc)
 		return
 	}
 	// Column strips, NR-aligned so panel boundaries (and therefore
@@ -138,7 +141,7 @@ func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, 
 					panicked.CompareAndSwap(nil, &r)
 				}
 			}()
-			gemmStrip(j0, j1, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, c, ldc)
+			gemmStrip(j0, j1, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, c, ldc)
 		}(j0, j1)
 	}
 	wg.Wait()
@@ -151,7 +154,7 @@ func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, 
 // C. ap is the fully packed A. B panels come pre-packed from pb when it is
 // non-nil; otherwise the strip packs each (KC × NC) block of b into a
 // pooled panel. n is the full C width (pb indexing needs it).
-func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, c []T, ldc int) {
+func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias, c []T, ldc int) {
 	var bp []T
 	var bpPtr *[]T
 	if pb == nil {
@@ -167,7 +170,18 @@ func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, a
 			if pb == nil {
 				packB(bp[:kcEff*ncR], b, ldb, pc, kcEff, jc, ncEff, nr, transB)
 			}
-			first := pc == 0
+			// The write-back mode is fixed per KC slice: the first one
+			// applies bias or beta, every later one accumulates.
+			mode := wbAccumulate
+			switch {
+			case pc > 0:
+			case bias != nil:
+				mode = wbBias
+			case beta == 0:
+				mode = wbOverwrite
+			default:
+				mode = wbBeta
+			}
 			for jr := 0; jr < ncEff; jr += nr {
 				var bPanel []T
 				if pb != nil {
@@ -183,7 +197,7 @@ func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, a
 					aPanel := ap[(ir/mr)*mr*k+pc*mr:][: kcEff*mr : kcEff*mr]
 					var acc [maxTile * maxTile]T
 					microKernel(kcEff, mr, aPanel, bPanel, &acc)
-					writeBack(c, ldc, ir, jc+jr, min(mr, m-ir), nrEff, nr, alpha, beta, first, &acc)
+					writeBack(mode, c, ldc, ir, jc+jr, min(mr, m-ir), nrEff, nr, alpha, beta, bias, &acc)
 				}
 			}
 		}
@@ -236,20 +250,47 @@ func microKernel[T float](kcEff, mr int, aPanel, bPanel []T, acc *[maxTile * max
 	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
 }
 
-// writeBack folds one micro-tile into C. The first KC slice applies beta
-// (beta==0 without reading C); later slices accumulate.
-func writeBack[T float](c []T, ldc, i0, j0, mrEff, nrEff, nr int, alpha, beta T, first bool, acc *[maxTile * maxTile]T) {
-	for i := 0; i < mrEff; i++ {
-		row := c[(i0+i)*ldc+j0:]
-		for j := 0; j < nrEff; j++ {
-			v := alpha * acc[i*nr+j]
-			switch {
-			case !first:
-				row[j] += v
-			case beta == 0:
-				row[j] = v
-			default:
-				row[j] = v + beta*row[j]
+// Write-back modes: how one micro-tile lands in C.
+const (
+	wbAccumulate = iota // later KC slices: C += alpha·acc
+	wbOverwrite         // first slice, beta == 0: C = alpha·acc, C never read
+	wbBeta              // first slice: C = alpha·acc + beta·C
+	wbBias              // first slice: C = alpha·acc + bias[row], C never read
+)
+
+// writeBack folds one micro-tile into C in the given mode. The mode is
+// picked once per tile, so the element loops carry no branch. alpha·acc +
+// bias rounds exactly like alpha·acc + 1·C over a C pre-filled with the
+// bias, so the bias mode is bit-identical to that older two-pass form.
+func writeBack[T float](mode int, c []T, ldc, i0, j0, mrEff, nrEff, nr int, alpha, beta T, bias []T, acc *[maxTile * maxTile]T) {
+	switch mode {
+	case wbAccumulate:
+		for i := 0; i < mrEff; i++ {
+			row := c[(i0+i)*ldc+j0:][:nrEff]
+			for j, v := range acc[i*nr : i*nr+nrEff] {
+				row[j] += alpha * v
+			}
+		}
+	case wbOverwrite:
+		for i := 0; i < mrEff; i++ {
+			row := c[(i0+i)*ldc+j0:][:nrEff]
+			for j, v := range acc[i*nr : i*nr+nrEff] {
+				row[j] = alpha * v
+			}
+		}
+	case wbBias:
+		for i := 0; i < mrEff; i++ {
+			row := c[(i0+i)*ldc+j0:][:nrEff]
+			bv := bias[i0+i]
+			for j, v := range acc[i*nr : i*nr+nrEff] {
+				row[j] = alpha*v + bv
+			}
+		}
+	default:
+		for i := 0; i < mrEff; i++ {
+			row := c[(i0+i)*ldc+j0:][:nrEff]
+			for j, v := range acc[i*nr : i*nr+nrEff] {
+				row[j] = alpha*v + beta*row[j]
 			}
 		}
 	}
@@ -299,10 +340,7 @@ func packB[T float](dst, b []T, ldb, pc, kcEff, jc, ncEff, nr int, trans bool) {
 					dst[idx+j] = b[(jc+jr+j)*ldb+pc+p]
 				}
 			} else {
-				src := b[(pc+p)*ldb+jc+jr:]
-				for j := 0; j < nrEff; j++ {
-					dst[idx+j] = src[j]
-				}
+				copy(dst[idx:idx+nrEff], b[(pc+p)*ldb+jc+jr:])
 			}
 			for j := nrEff; j < nr; j++ {
 				dst[idx+j] = 0

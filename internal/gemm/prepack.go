@@ -24,7 +24,7 @@ type PackedA struct {
 func (p *PackedA) Bytes() int64 { return int64(len(p.buf)) * 4 }
 
 // PackA packs the m×k row-major matrix a (leading dimension lda) for use
-// as the A operand of GemmPackedA/SerialPackedA.
+// as the A operand of GemmPackedA and the bias entry points.
 func PackA(m, k int, a []float32, lda int) *PackedA {
 	if m < 0 || k < 0 {
 		panic("gemm: PackA: negative dimensions")
@@ -44,16 +44,24 @@ func PackA(m, k int, a []float32, lda int) *PackedA {
 // B is k×n row-major (ldb), C is m×n (ldc). Parallel over column strips,
 // bit-identical to Gemm on the same operands.
 func GemmPackedA(n int, alpha float32, pa *PackedA, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmPackedA(true, n, alpha, pa, b, ldb, beta, c, ldc)
+	gemmPackedA(true, n, alpha, pa, b, ldb, beta, nil, c, ldc)
 }
 
-// SerialPackedA is GemmPackedA restricted to the calling goroutine (for
-// callers already inside a parallelFor region, like the fused kernel).
-func SerialPackedA(n int, alpha float32, pa *PackedA, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmPackedA(false, n, alpha, pa, b, ldb, beta, c, ldc)
+// GemmPackedABias computes C = A·B + bias with A supplied pre-packed: bias
+// (m values, nil for none) is added to every element of its row as the
+// product is written, so C is never read. Bit-identical to GemmPackedA with
+// beta = 1 over a C pre-filled with the bias. Parallel over column strips.
+func GemmPackedABias(n int, pa *PackedA, b []float32, ldb int, bias, c []float32, ldc int) {
+	gemmPackedA(true, n, 1, pa, b, ldb, 0, bias, c, ldc)
 }
 
-func gemmPackedA(parallel bool, n int, alpha float32, pa *PackedA, b []float32, ldb int, beta float32, c []float32, ldc int) {
+// SerialPackedABias is GemmPackedABias restricted to the calling goroutine
+// (for callers already inside a parallelFor region, like the fused kernel).
+func SerialPackedABias(n int, pa *PackedA, b []float32, ldb int, bias, c []float32, ldc int) {
+	gemmPackedA(false, n, 1, pa, b, ldb, 0, bias, c, ldc)
+}
+
+func gemmPackedA(parallel bool, n int, alpha float32, pa *PackedA, b []float32, ldb int, beta float32, bias, c []float32, ldc int) {
 	if pa == nil {
 		panic("gemm: nil PackedA")
 	}
@@ -71,14 +79,26 @@ func gemmPackedA(parallel bool, n int, alpha float32, pa *PackedA, b []float32, 
 	if ldc < n || (m > 0 && n > 0 && len(c) < (m-1)*ldc+n) {
 		panic("gemm: C too small for pre-packed product")
 	}
+	if bias != nil && len(bias) < m {
+		panic("gemm: bias shorter than the pre-packed A's rows")
+	}
 	if m == 0 || n == 0 {
 		return
 	}
 	if k == 0 || alpha == 0 {
+		if bias != nil {
+			for i := 0; i < m; i++ {
+				row := c[i*ldc : i*ldc+n]
+				for j := range row {
+					row[j] = bias[i]
+				}
+			}
+			return
+		}
 		scaleC(m, n, beta, c, ldc)
 		return
 	}
-	gemmCore(parallel, false, m, n, k, mr, nr, alpha, pa.buf, b, ldb, nil, beta, c, ldc)
+	gemmCore(parallel, false, m, n, k, mr, nr, alpha, pa.buf, b, ldb, nil, beta, bias, c, ldc)
 }
 
 // PackedB is a column operand packed once into the full-width B-panel
@@ -176,5 +196,5 @@ func gemmPrePacked(parallel, wantTrans bool, m int, alpha float32, a []float32, 
 	defer putWS(apPtr)
 	ap := *apPtr
 	packA(ap, a, lda, m, k, mr, false)
-	gemmCore(parallel, false, m, n, k, mr, nr, alpha, ap, nil, 0, pb.buf, beta, c, ldc)
+	gemmCore(parallel, false, m, n, k, mr, nr, alpha, ap, nil, 0, pb.buf, beta, nil, c, ldc)
 }

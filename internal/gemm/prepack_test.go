@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -37,10 +38,10 @@ func TestPrePackedBitIdentical(t *testing.T) {
 						workers, m, n, k, i, got[i], want[i])
 				}
 			}
-			SerialPackedA(n, 1, pa, b32, n, 0, got, n)
+			SerialPackedABias(n, pa, b32, n, nil, got, n)
 			for i := range want {
 				if want[i] != got[i] {
-					t.Fatalf("workers=%d m=%d n=%d k=%d: SerialPackedA differs at %d", workers, m, n, k, i)
+					t.Fatalf("workers=%d m=%d n=%d k=%d: SerialPackedABias differs at %d", workers, m, n, k, i)
 				}
 			}
 
@@ -85,6 +86,59 @@ func TestPrePackedBetaAccumulate(t *testing.T) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("beta=1 differs at %d: %v != %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestBiasWriteBackBitIdentical pins the bias entry points to the two-pass
+// form they replace: C pre-filled with the bias, then a beta = 1 product.
+// K crosses the KC = 256 slice boundary (only the first slice may add the
+// bias), M and N are not multiples of the 8×8 tile, and both micro-kernels
+// and both strip schedules are covered.
+func TestBiasWriteBackBitIdentical(t *testing.T) {
+	prevSIMD := SetSIMD(true)
+	defer SetSIMD(prevSIMD)
+	prevW := Workers()
+	defer SetWorkers(prevW)
+	r := rand.New(rand.NewSource(13))
+	for _, simd := range []bool{true, false} {
+		if SetSIMD(simd); simd && !SIMD() {
+			continue
+		}
+		for _, k := range []int{1, 2, 255, 256, 257, 300} {
+			for _, mn := range [][2]int{{1, 1}, {7, 13}, {13, 70}, {30, 129}} {
+				m, n := mn[0], mn[1]
+				a, _ := randSlice(r, m*k)
+				b, _ := randSlice(r, k*n)
+				bias, _ := randSlice(r, m)
+				pa := PackA(m, k, a, k)
+				want := make([]float32, m*n)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						want[i*n+j] = bias[i]
+					}
+				}
+				GemmPackedA(n, 1, pa, b, n, 1, want, n)
+				for _, workers := range []int{1, 4} {
+					SetWorkers(workers)
+					for name, run := range map[string]func(c []float32){
+						"GemmPackedABias":   func(c []float32) { GemmPackedABias(n, pa, b, n, bias, c, n) },
+						"SerialPackedABias": func(c []float32) { SerialPackedABias(n, pa, b, n, bias, c, n) },
+					} {
+						got := make([]float32, m*n)
+						for i := range got {
+							got[i] = float32(i) // stale contents must not leak in
+						}
+						run(got)
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("simd=%v workers=%d m=%d n=%d k=%d: %s differs at %d: %v != %v",
+									simd, workers, m, n, k, name, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

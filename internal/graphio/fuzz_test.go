@@ -52,8 +52,18 @@ var adversarialEnvelopes = map[string]string{
 		`"w":{"shape":[2,2],"data":"AAAA"}}]}`,
 	"payload not base64": `{"version":1,"name":"x","nodes":[{"id":0,"name":"a","kind":"input","shape":[1,2,2],` +
 		`"w":{"shape":[1],"data":"????"}}]}`,
-	"conv without weights": `{"version":1,"name":"x","nodes":[{"id":0,"name":"a","kind":"conv2d","shape":[1],"role":"none"}]}`,
-	"unknown role":         `{"version":1,"name":"x","nodes":[{"id":0,"name":"a","kind":"input","shape":[1,2,2],"role":"boss"}]}`,
+	"conv without weights":        `{"version":1,"name":"x","nodes":[{"id":0,"name":"a","kind":"conv2d","shape":[1],"role":"none"}]}`,
+	"unknown role":                `{"version":1,"name":"x","nodes":[{"id":0,"name":"a","kind":"input","shape":[1,2,2],"role":"boss"}]}`,
+	"conv blocks sum mismatch":    blockConvEnvelope(`{"InC":4,"OutC":6,"KH":1,"KW":1,"SH":1,"SW":1,"Groups":1,"Blocks":[{"InC":1,"OutC":2},{"InC":2,"OutC":4}]}`, 10),
+	"conv zero-size block":        blockConvEnvelope(`{"InC":4,"OutC":6,"KH":1,"KW":1,"SH":1,"SW":1,"Groups":1,"Blocks":[{"InC":0,"OutC":2},{"InC":4,"OutC":4}]}`, 16),
+	"conv negative block":         blockConvEnvelope(`{"InC":4,"OutC":6,"KH":1,"KW":1,"SH":1,"SW":1,"Groups":1,"Blocks":[{"InC":-1,"OutC":2},{"InC":5,"OutC":4}]}`, 18),
+	"conv overflowing block":      blockConvEnvelope(`{"InC":4,"OutC":6,"KH":1,"KW":1,"SH":1,"SW":1,"Groups":1,"Blocks":[{"InC":4611686018427387904,"OutC":2},{"InC":4,"OutC":4}]}`, 16),
+	"conv empty block list":       blockConvEnvelope(`{"InC":4,"OutC":6,"KH":1,"KW":1,"SH":1,"SW":1,"Groups":1,"Blocks":[]}`, 24),
+	"conv block weight length":    blockConvEnvelope(`{"InC":4,"OutC":6,"KH":1,"KW":1,"SH":1,"SW":1,"Groups":1,"Blocks":[{"InC":1,"OutC":2},{"InC":3,"OutC":4}]}`, 24),
+	"conv blocks on 3x3":          blockConvEnvelope(`{"InC":4,"OutC":6,"KH":3,"KW":3,"SH":1,"SW":1,"PH":1,"PW":1,"Groups":1,"Blocks":[{"InC":1,"OutC":2},{"InC":3,"OutC":4}]}`, 14),
+	"conv blocks on grouped":      blockConvEnvelope(`{"InC":4,"OutC":6,"KH":1,"KW":1,"SH":1,"SW":1,"Groups":2,"Blocks":[{"InC":2,"OutC":3},{"InC":2,"OutC":3}]}`, 12),
+	"fused lblocks sum mismatch":  blockFusedEnvelope(`[{"InC":1,"OutC":2},{"InC":1,"OutC":3}]`, 5),
+	"fused lblocks weight length": blockFusedEnvelope(`[{"InC":1,"OutC":2},{"InC":2,"OutC":3}]`, 15),
 }
 
 // TestLoadAdversarial drives Load over the corrupted-envelope corpus: each
@@ -109,6 +119,9 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	for _, env := range wellFormedBlockEnvelopes {
+		f.Add([]byte(env))
+	}
 	for _, env := range adversarialEnvelopes {
 		f.Add([]byte(env))
 	}

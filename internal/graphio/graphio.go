@@ -64,16 +64,17 @@ type attrsJSON struct {
 }
 
 type fusedJSON struct {
-	InC      int           `json:"inC"`
-	MidC     int           `json:"midC"`
-	OutC     int           `json:"outC"`
-	Act      string        `json:"act"`
-	Pool     *ir.PoolAttrs `json:"pool,omitempty"`
-	PoolKind string        `json:"poolKind,omitempty"`
-	LW       *tensJSON     `json:"lw"`
-	LB       *tensJSON     `json:"lb,omitempty"`
-	FW       *tensJSON     `json:"fw,omitempty"`
-	FB       *tensJSON     `json:"fb,omitempty"`
+	InC      int            `json:"inC"`
+	MidC     int            `json:"midC"`
+	OutC     int            `json:"outC"`
+	Act      string         `json:"act"`
+	Pool     *ir.PoolAttrs  `json:"pool,omitempty"`
+	PoolKind string         `json:"poolKind,omitempty"`
+	LW       *tensJSON      `json:"lw"`
+	LB       *tensJSON      `json:"lb,omitempty"`
+	FW       *tensJSON      `json:"fw,omitempty"`
+	FB       *tensJSON      `json:"fb,omitempty"`
+	LBlocks  []ir.ConvBlock `json:"lblocks,omitempty"`
 }
 
 type tensJSON struct {
@@ -162,6 +163,7 @@ func encodeAttrs(n *ir.Node) (*attrsJSON, error) {
 			Pool: a.Pool,
 			LW:   encodeTensor(a.LW), LB: encodeTensor(a.LB),
 			FW: encodeTensor(a.FW), FB: encodeTensor(a.FB),
+			LBlocks: a.LBlocks,
 		}
 		if a.Pool != nil {
 			f.PoolKind = a.PoolKind.String()
@@ -215,7 +217,7 @@ func (d *decoder) decodeAttrs(j *attrsJSON) (any, error) {
 		if !ok {
 			return nil, fmt.Errorf("graphio: unknown activation %q", f.Act)
 		}
-		out := &ir.FusedAttrs{InC: f.InC, MidC: f.MidC, OutC: f.OutC, Act: act, Pool: f.Pool}
+		out := &ir.FusedAttrs{InC: f.InC, MidC: f.MidC, OutC: f.OutC, Act: act, Pool: f.Pool, LBlocks: f.LBlocks}
 		if f.Pool != nil {
 			pk, ok := kindByName[f.PoolKind]
 			if !ok {

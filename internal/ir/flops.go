@@ -15,6 +15,10 @@ func FLOPs(n *Node) int64 {
 		if g == 0 {
 			g = 1
 		}
+		if a.Blocks != nil {
+			// Each output pixel: Σ InC_i · OutC_i MACs over the diagonal blocks.
+			return int64(n.Shape[1]) * int64(n.Shape[2]) * blockMACs(a.Blocks, a.InC, a.OutC) * 2
+		}
 		// Each output element: InC/g · KH · KW MACs.
 		return outElems * int64(a.InC/g) * int64(a.KH) * int64(a.KW) * 2
 	case KindLinear:
@@ -54,7 +58,7 @@ func FLOPs(n *Node) int64 {
 				preH, preW = n.Inputs[0].Shape[1], n.Inputs[0].Shape[2]
 			}
 		}
-		lconv := int64(a.MidC) * int64(preH) * int64(preW) * int64(a.InC) * 2
+		lconv := int64(preH) * int64(preW) * blockMACs(a.LBlocks, a.InC, a.MidC) * 2
 		act := int64(a.MidC) * int64(preH) * int64(preW)
 		pool := int64(0)
 		if a.Pool != nil {

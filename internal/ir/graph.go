@@ -270,6 +270,7 @@ func cloneAttrs(a any) any {
 		return nil
 	case *ConvAttrs:
 		c := *v
+		c.Blocks = cloneBlocks(v.Blocks)
 		return &c
 	case *PoolAttrs:
 		c := *v
@@ -289,10 +290,18 @@ func cloneAttrs(a any) any {
 			p := *v.Pool
 			c.Pool = &p
 		}
+		c.LBlocks = cloneBlocks(v.LBlocks)
 		return &c
 	default:
 		panic(fmt.Sprintf("ir: cloneAttrs: unknown attrs type %T", a))
 	}
+}
+
+func cloneBlocks(b []ConvBlock) []ConvBlock {
+	if b == nil {
+		return nil
+	}
+	return append([]ConvBlock(nil), b...)
 }
 
 // WeightBytes sums the parameter footprint of the whole graph.
@@ -324,6 +333,15 @@ func checkParams(n *Node) error {
 			g = 1
 		}
 		want := a.OutC * (a.InC / g) * a.KH * a.KW
+		if a.Blocks != nil {
+			if a.KH != 1 || a.KW != 1 || a.SH != 1 || a.SW != 1 || a.PH != 0 || a.PW != 0 || g != 1 {
+				return fmt.Errorf("conv blocks need a 1×1 stride-1 unpadded ungrouped conv")
+			}
+			var err error
+			if want, err = checkBlocks(a.Blocks, a.InC, a.OutC); err != nil {
+				return fmt.Errorf("conv %w", err)
+			}
+		}
 		if n.W == nil || n.W.Len() != want {
 			return fmt.Errorf("conv weight has %d elems, attrs imply %d", tlen(n.W), want)
 		}
@@ -342,8 +360,15 @@ func checkParams(n *Node) error {
 		}
 	case KindFused:
 		a := n.Fused()
-		if a.LW == nil || a.LW.Len() != a.MidC*a.InC {
-			return fmt.Errorf("fused lconv weight has %d elems, attrs imply %d", tlen(a.LW), a.MidC*a.InC)
+		want := a.MidC * a.InC
+		if a.LBlocks != nil {
+			var err error
+			if want, err = checkBlocks(a.LBlocks, a.InC, a.MidC); err != nil {
+				return fmt.Errorf("fused lconv %w", err)
+			}
+		}
+		if a.LW == nil || a.LW.Len() != want {
+			return fmt.Errorf("fused lconv weight has %d elems, attrs imply %d", tlen(a.LW), want)
 		}
 		if a.FW == nil {
 			if a.OutC != a.MidC {

@@ -260,6 +260,72 @@ func TestFLOPsFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestConvBlocksValidate: a block list must tile the channels exactly,
+// match the weight length, and sit on a 1×1 stride-1 unpadded ungrouped
+// conv.
+func TestConvBlocksValidate(t *testing.T) {
+	check := func(a *ConvAttrs, wLen int) error {
+		g := NewGraph("blocks")
+		in := g.Input("x", a.InC, 4, 4)
+		shape, err := InferShape(KindConv2D, a, [][]int{in.Shape})
+		if err != nil {
+			return err
+		}
+		n := &Node{ID: g.NewID(), Name: "c", Kind: KindConv2D, Inputs: []*Node{in}, Attrs: a, W: tensor.New(wLen), Shape: shape}
+		g.Nodes = append(g.Nodes, n)
+		g.MarkOutput(n)
+		return g.Validate()
+	}
+	ok := []ConvBlock{{1, 2}, {3, 4}}
+	pw := func(blocks []ConvBlock) *ConvAttrs {
+		return &ConvAttrs{InC: 4, OutC: 6, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1, Blocks: blocks}
+	}
+	if err := check(pw(ok), 14); err != nil {
+		t.Fatalf("valid block conv rejected: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		a *ConvAttrs
+		w int
+	}{
+		"sums":       {pw([]ConvBlock{{1, 2}, {2, 4}}), 10},
+		"zero":       {pw([]ConvBlock{{0, 2}, {4, 4}}), 16},
+		"negative":   {pw([]ConvBlock{{-1, 2}, {5, 4}}), 18},
+		"overflow":   {pw([]ConvBlock{{1 << 62, 2}, {4, 4}}), 16},
+		"empty":      {pw([]ConvBlock{}), 24},
+		"weight len": {pw(ok), 24},
+		"3x3":        {&ConvAttrs{InC: 4, OutC: 6, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1, Blocks: ok}, 14},
+		"strided":    {&ConvAttrs{InC: 4, OutC: 6, KH: 1, KW: 1, SH: 2, SW: 2, Groups: 1, Blocks: ok}, 14},
+		"grouped":    {&ConvAttrs{InC: 4, OutC: 6, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 2, Blocks: []ConvBlock{{2, 3}, {2, 3}}}, 12},
+	} {
+		if err := check(tc.a, tc.w); err == nil {
+			t.Errorf("%s: malformed block conv accepted", name)
+		}
+	}
+}
+
+// TestFLOPsCountsOnlyDiagonalBlocks: a block conv and a fused node with an
+// lconv block list cost Σ InC_i·OutC_i MACs per pixel, not InC·OutC; and
+// CloneAttrs copies the list.
+func TestFLOPsCountsOnlyDiagonalBlocks(t *testing.T) {
+	blocks := []ConvBlock{{1, 2}, {3, 4}} // 14 MACs per pixel, 24 dense
+	g := NewGraph("bf")
+	in := g.Input("x", 4, 5, 5)
+	c := g.Apply(KindConv2D, "c", &ConvAttrs{InC: 4, OutC: 6, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1, Blocks: blocks}, in)
+	if got, want := FLOPs(c), int64(5*5*14*2); got != want {
+		t.Errorf("block conv FLOPs = %d, want %d", got, want)
+	}
+	f := g.Apply(KindFused, "f", &FusedAttrs{InC: 4, MidC: 6, OutC: 6, Act: KindReLU, LW: tensor.New(14), LBlocks: blocks}, in)
+	// lconv and activation; tail fusion, no pool.
+	if got, want := FLOPs(f), int64(5*5*14*2+6*5*5); got != want {
+		t.Errorf("block fused FLOPs = %d, want %d", got, want)
+	}
+	cl := CloneAttrs(c.Attrs).(*ConvAttrs)
+	cl.Blocks[0].InC = 9
+	if c.Conv().Blocks[0].InC != 1 {
+		t.Error("CloneAttrs shares the block list")
+	}
+}
+
 func TestDOTRender(t *testing.T) {
 	b, _, _ := smallGraph(t)
 	d := b.G.DOT()

@@ -8,12 +8,70 @@ import (
 
 // ConvAttrs parameterizes a 2-D convolution. Weights are [OutC, InC/Groups,
 // KH, KW] in the node's W field; bias [OutC] in B (nil means no bias).
+//
+// Blocks, when non-nil, makes a 1×1 stride-1 unpadded ungrouped conv
+// block-diagonal: block i maps the next InC_i input channels to the next
+// OutC_i output channels and every other weight is zero. W then stores
+// only the diagonal blocks back to back, block i as [OutC_i × InC_i]. The
+// merged lconv of paper Fig. 9a is the one producer. nil means one dense
+// block.
 type ConvAttrs struct {
 	InC, OutC int
 	KH, KW    int
 	SH, SW    int
 	PH, PW    int
 	Groups    int
+	Blocks    []ConvBlock `json:",omitempty"`
+}
+
+// ConvBlock is one diagonal block of a block-diagonal 1×1 channel mix.
+type ConvBlock struct {
+	InC, OutC int
+}
+
+// ChannelBlocks returns the diagonal blocks of an inC→outC channel mix:
+// blocks itself, or one dense block when blocks is nil.
+func ChannelBlocks(blocks []ConvBlock, inC, outC int) []ConvBlock {
+	if blocks == nil {
+		return []ConvBlock{{InC: inC, OutC: outC}}
+	}
+	return blocks
+}
+
+// blockMACs is the multiply-accumulate count of one output pixel of an
+// inC→outC channel mix with the given diagonal blocks (nil = dense).
+func blockMACs(blocks []ConvBlock, inC, outC int) int64 {
+	var m int64
+	for _, b := range ChannelBlocks(blocks, inC, outC) {
+		m += int64(b.InC) * int64(b.OutC)
+	}
+	return m
+}
+
+// checkBlocks validates a block list against the channel counts it splits
+// and returns the weight length it implies. Every block must be non-empty
+// and the blocks must tile inC and outC exactly; the running sums are
+// bounded by the totals, so untrusted lists cannot overflow them.
+func checkBlocks(blocks []ConvBlock, inC, outC int) (int, error) {
+	if len(blocks) == 0 {
+		return 0, fmt.Errorf("empty block list")
+	}
+	var sumIn, sumOut, weights int
+	for i, b := range blocks {
+		if b.InC < 1 || b.OutC < 1 {
+			return 0, fmt.Errorf("block %d is %d→%d channels, both must be positive", i, b.InC, b.OutC)
+		}
+		if b.InC > inC-sumIn || b.OutC > outC-sumOut {
+			return 0, fmt.Errorf("blocks exceed %d→%d channels at block %d", inC, outC, i)
+		}
+		sumIn += b.InC
+		sumOut += b.OutC
+		weights += b.InC * b.OutC
+	}
+	if sumIn != inC || sumOut != outC {
+		return 0, fmt.Errorf("blocks cover %d→%d channels, attrs say %d→%d", sumIn, sumOut, inC, outC)
+	}
+	return weights, nil
 }
 
 // PoolAttrs parameterizes max/avg pooling.
@@ -61,10 +119,13 @@ type FusedAttrs struct {
 	Pool *PoolAttrs
 	// PoolKind distinguishes max from average pooling when Pool != nil.
 	PoolKind Kind
-	LW       *tensor.Tensor // [MidC, InC, 1, 1]
+	LW       *tensor.Tensor // [MidC, InC, 1, 1], or LBlocks back to back
 	LB       *tensor.Tensor // [MidC] or nil
 	FW       *tensor.Tensor // [OutC, MidC, 1, 1]
 	FB       *tensor.Tensor // [OutC] or nil
+	// LBlocks is the lconv's diagonal block list (ConvAttrs.Blocks of a
+	// merged lconv); nil means one dense block.
+	LBlocks []ConvBlock
 }
 
 // Node is one SSA value in the layer graph: an operator application whose
@@ -162,14 +223,15 @@ func (n *Node) IsLConv() bool {
 
 // IsFConv is the dual structural test: a 1×1, stride-1, ungrouped
 // convolution that reduces the channel count — the leading factor
-// convolution of a decomposed sequence.
+// convolution of a decomposed sequence. A block-diagonal conv never
+// qualifies: the passes that rewrite fconvs read their weights densely.
 func (n *Node) IsFConv() bool {
 	if n.Kind != KindConv2D {
 		return false
 	}
 	a := n.Conv()
 	return a.KH == 1 && a.KW == 1 && a.SH == 1 && a.SW == 1 &&
-		a.PH == 0 && a.PW == 0 && a.Groups == 1 && a.OutC < a.InC
+		a.PH == 0 && a.PW == 0 && a.Groups == 1 && a.OutC < a.InC && a.Blocks == nil
 }
 
 // String renders a compact description for debugging.

@@ -67,8 +67,9 @@ func fusedScratchLens(a *ir.FusedAttrs) (offs, valid, xbuf, mid, pooled, ftile i
 // output tile, the kernel:
 //
 //  1. gathers the pre-pool input region the tile needs into a packed
-//     buffer and expands it to C' channels with one GEMM (lconv, a 1×1
-//     channel expansion) on the blocked micro-kernel,
+//     buffer and expands it to C' channels with one GEMM per diagonal
+//     block of the lconv (a 1×1 channel expansion; one block unless it is
+//     a merged lconv) on the blocked micro-kernel, bias added as it writes,
 //  2. applies the activation in place (padding positions forced to zero),
 //  3. pools the region down to the tile (when a pool layer is fused), and
 //  4. reduces back to OutC channels with a second GEMM (fconv).
@@ -106,6 +107,7 @@ func FusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAtt
 		// parallel branch) keeps it on the stack, so steady-state inference
 		// allocates nothing.
 		fr := fusedRun{out: out, in: in, a: a, plan: plan,
+			lbias: biasData(a.LB), fbias: biasData(a.FB),
 			inC: inC, h: h, w: w, outC: outC, outH: outH, outW: outW,
 			kh: kh, kw: kw, sh: sh, sw: sw, ph: ph, pw: pw,
 			isMax: isMax, hasPool: hasPool, act: act, area: area,
@@ -116,6 +118,7 @@ func FusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAtt
 		return nil
 	}
 	fr := fusedRun{out: out, in: in, a: a, plan: plan,
+		lbias: biasData(a.LB), fbias: biasData(a.FB),
 		inC: inC, h: h, w: w, outC: outC, outH: outH, outW: outW,
 		kh: kh, kw: kw, sh: sh, sw: sw, ph: ph, pw: pw,
 		isMax: isMax, hasPool: hasPool, act: act, area: area,
@@ -133,6 +136,7 @@ type fusedRun struct {
 	out, in                     *tensor.Tensor
 	a                           *ir.FusedAttrs
 	plan                        *FusedPlan // pre-packed lconv/fconv weights
+	lbias, fbias                []float32  // lconv/fconv biases, nil for none
 	inC, h, w                   int
 	outC, outH, outW            int
 	kh, kw, sh, sw, ph, pw      int
@@ -187,8 +191,8 @@ func (fr *fusedRun) run(lo, hi int) {
 		rW := (tileW-1)*sw + kw
 		rP := rH * rW
 
-		// Step 1: gather the input region (zeros at padding), then one
-		// GEMM expands it to MidC channels; activation follows in place.
+		// Step 1: gather the input region (zeros at padding), then the
+		// lconv expands it to MidC channels; activation follows in place.
 		// Interior tiles — the common case — have a fully in-bounds region
 		// and pack with row copies; only border tiles walk the offset table.
 		allValid := rh0 >= 0 && rw0 >= 0 && rh0+rH <= h && rw0+rW <= w
@@ -230,18 +234,9 @@ func (fr *fusedRun) run(lo, hi int) {
 				}
 			}
 		}
-		beta := float32(0)
-		if a.LB != nil {
-			for mc := 0; mc < a.MidC; mc++ {
-				row := mid[mc*rP : (mc+1)*rP]
-				bv := a.LB.Data[mc]
-				for i := range row {
-					row[i] = bv
-				}
-			}
-			beta = 1
-		}
-		gemm.SerialPackedA(rP, 1, fr.plan.lw, xbuf[:inC*rP], rP, beta, mid[:a.MidC*rP], rP)
+		// One GEMM per diagonal block: each reads its rows of xbuf and
+		// writes its rows of mid.
+		mulBlocks(true, fr.plan.lw, rP, xbuf[:inC*rP], rP, fr.lbias, mid[:a.MidC*rP], rP)
 
 		// Step 2: activation over valid positions, zero at padding (a
 		// padded position must not contribute applyAct(bias) downstream).
@@ -371,18 +366,7 @@ func (fr *fusedRun) run(lo, hi int) {
 			}
 			continue
 		}
-		fbeta := float32(0)
-		if a.FB != nil {
-			for oc := 0; oc < outC; oc++ {
-				row := ftile[oc*fld : oc*fld+fCols]
-				bv := a.FB.Data[oc]
-				for i := range row {
-					row[i] = bv
-				}
-			}
-			fbeta = 1
-		}
-		gemm.SerialPackedA(fCols, 1, fr.plan.fw, fsrc[:(a.MidC-1)*fld+fCols], fld, fbeta, ftile[:(outC-1)*fld+fCols], fld)
+		mulBlocks(true, fr.plan.fw, fCols, fsrc, fld, fr.fbias, ftile, fld)
 		for oc := 0; oc < outC; oc++ {
 			src := ftile[oc*fld:]
 			outPlane := (bIdx*outC + oc) * outH * outW

@@ -205,11 +205,18 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	}
 	fp := PlanFused(fa)
 	lp := gemm.PackBT(la.In, la.Out, lw.Data, la.In)
+	bw, _ := blockWeight(r, testBlocks)
+	fba := &ir.FusedAttrs{InC: 11, MidC: 68, OutC: 4, Act: ir.KindReLU,
+		LW: bw, LB: randT(r, 68), FW: randT(r, 4, 68, 1, 1), FB: randT(r, 4), LBlocks: testBlocks}
+	fbp := PlanFused(fba)
+	fbin := randT(r, 1, 11, 16, 16)
+	fbout := tensor.New(1, 4, 16, 16)
 	ctx := context.Background()
 	for name, fn := range map[string]func(){
-		"im2col": func() { _ = ConvPlannedCtx(ctx, cout, cin, cw, cb, ca, cp) },
-		"fused":  func() { _ = FusedPlannedCtx(ctx, fout, fin, fa, fp) },
-		"linear": func() { _ = LinearPrePackedCtx(ctx, lout, lin, lp, nil, la) },
+		"im2col":       func() { _ = ConvPlannedCtx(ctx, cout, cin, cw, cb, ca, cp) },
+		"fused":        func() { _ = FusedPlannedCtx(ctx, fout, fin, fa, fp) },
+		"fused-blocks": func() { _ = FusedPlannedCtx(ctx, fbout, fbin, fba, fbp) },
+		"linear":       func() { _ = LinearPrePackedCtx(ctx, lout, lin, lp, nil, la) },
 	} {
 		fn() // warm the workspace pools
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {

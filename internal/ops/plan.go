@@ -36,18 +36,77 @@ type ConvPlan struct {
 	// idx is the per-channel im2col gather table, [KH·KW·cols] input-plane
 	// offsets with -1 marking padding positions.
 	idx []int32
-	// pw is the weight pre-packed as the GEMM's A operand (GEMM paths only).
-	pw *gemm.PackedA
+	// pw is the weight's diagonal blocks pre-packed as the GEMM's A operand
+	// (GEMM paths only; one block unless the conv is block-diagonal).
+	pw []gemmBlock
 }
 
 // PackedBytes reports the plan's resident footprint (packed panels plus
 // gather table), for engine statistics.
 func (p *ConvPlan) PackedBytes() int64 {
-	var b int64
-	if p.pw != nil {
-		b += p.pw.Bytes()
+	return blocksBytes(p.pw) + int64(len(p.idx))*4
+}
+
+// gemmBlock is one pre-packed diagonal block of a GEMM-backed kernel's
+// weight: rows [outOff, outOff+m) of C are A·B over rows [inOff, inOff+k)
+// of B. A dense weight is a single block at offset zero.
+type gemmBlock struct {
+	inOff, outOff, k, m int
+	pa                  *gemm.PackedA
+}
+
+// packBlocks packs the diagonal blocks of an inC→outC channel mix whose
+// weight w stores them back to back (block i as [OutC_i × InC_i]; nil
+// blocks = one dense [outC × inC] block).
+func packBlocks(blocks []ir.ConvBlock, w []float32, inC, outC int) []gemmBlock {
+	bs := ir.ChannelBlocks(blocks, inC, outC)
+	out := make([]gemmBlock, len(bs))
+	inOff, outOff, wOff := 0, 0, 0
+	for i, b := range bs {
+		out[i] = gemmBlock{inOff: inOff, outOff: outOff, k: b.InC, m: b.OutC,
+			pa: gemm.PackA(b.OutC, b.InC, w[wOff:wOff+b.OutC*b.InC], b.InC)}
+		inOff += b.InC
+		outOff += b.OutC
+		wOff += b.OutC * b.InC
 	}
-	return b + int64(len(p.idx))*4
+	return out
+}
+
+// mulBlocks computes, for every block, its C rows = A·(its B rows) + bias
+// over n columns: b holds the B operand's rows at stride ldb, c the output
+// rows at stride ldc, bias the per-output-row bias (nil for none). serial
+// keeps each GEMM on the calling goroutine.
+func mulBlocks(serial bool, blocks []gemmBlock, n int, b []float32, ldb int, bias, c []float32, ldc int) {
+	for i := range blocks {
+		blk := &blocks[i]
+		var bb []float32
+		if bias != nil {
+			bb = bias[blk.outOff : blk.outOff+blk.m]
+		}
+		bs := b[blk.inOff*ldb : (blk.inOff+blk.k-1)*ldb+n]
+		cs := c[blk.outOff*ldc : (blk.outOff+blk.m-1)*ldc+n]
+		if serial {
+			gemm.SerialPackedABias(n, blk.pa, bs, ldb, bb, cs, ldc)
+		} else {
+			gemm.GemmPackedABias(n, blk.pa, bs, ldb, bb, cs, ldc)
+		}
+	}
+}
+
+func blocksBytes(blocks []gemmBlock) int64 {
+	var n int64
+	for _, b := range blocks {
+		n += b.pa.Bytes()
+	}
+	return n
+}
+
+// biasData is a bias tensor's values, nil without a bias.
+func biasData(b *tensor.Tensor) []float32 {
+	if b == nil {
+		return nil
+	}
+	return b.Data
 }
 
 // PlanConv prepares a Conv2D with input plane inH×inW and output plane
@@ -59,7 +118,10 @@ func (p *ConvPlan) PackedBytes() int64 {
 // kernels take the im2col lowering (measured 6.4× at N=4, 64→64, 56×56,
 // 3×3) once the patch matrix is big enough to amortize the unfold: at
 // least 64 output pixels and 4 input channels, below which the direct
-// loop's smaller working set wins. Grouped convs always run direct.
+// loop's smaller working set wins. Grouped convs always run direct. A
+// block-diagonal conv always runs pointwise, one GEMM per block over its
+// channel sub-ranges: its W holds only the blocks, which the direct loop
+// cannot read.
 func PlanConv(a *ir.ConvAttrs, w *tensor.Tensor, inH, inW, outH, outW int) *ConvPlan {
 	g := a.Groups
 	if g == 0 {
@@ -68,7 +130,7 @@ func PlanConv(a *ir.ConvAttrs, w *tensor.Tensor, inH, inW, outH, outW int) *Conv
 	outHW := outH * outW
 	k := convDirect
 	switch {
-	case is1x1Pointwise(a) && outHW*a.InC >= 256:
+	case a.Blocks != nil || is1x1Pointwise(a) && outHW*a.InC >= 256:
 		k = convPointwise
 	case g == 1 && a.KH*a.KW > 1 && outHW >= 64 && a.InC >= 4:
 		k = convIm2col
@@ -83,10 +145,10 @@ func planConvAs(k convKernel, a *ir.ConvAttrs, w *tensor.Tensor, inH, inW, outH,
 	switch k {
 	case convPointwise:
 		p.rows, p.cols = a.InC, outH*outW
-		p.pw = gemm.PackA(a.OutC, a.InC, w.Data, a.InC)
+		p.pw = packBlocks(a.Blocks, w.Data, a.InC, a.OutC)
 	case convIm2col:
 		p.rows, p.cols = a.InC*a.KH*a.KW, outH*outW
-		p.pw = gemm.PackA(a.OutC, p.rows, w.Data, p.rows)
+		p.pw = packBlocks(nil, w.Data, p.rows, a.OutC)
 		p.idx = im2colIndex(inH, inW, outH, outW, a)
 	}
 	return p
@@ -110,21 +172,20 @@ func ConvPlannedCtx(ctx context.Context, out, in *tensor.Tensor, w, b *tensor.Te
 }
 
 // conv1x1PlannedCtx is the pointwise kernel: out[bi] = W[OutC×InC] ·
-// in[bi][InC×H·W], one GEMM per batch element with the weight pre-packed.
-// With enough batch elements to keep every worker busy it parallelizes
-// over the batch with a serial GEMM each; otherwise it runs the elements
-// in order and lets the GEMM fan out.
+// in[bi][InC×H·W] + bias, one GEMM per batch element and diagonal block
+// with the weight pre-packed. With enough batch elements to keep every
+// worker busy it parallelizes over the batch with serial GEMMs; otherwise
+// it runs the elements in order and lets each GEMM fan out.
 func conv1x1PlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Tensor, p *ConvPlan) error {
 	n := in.Dim(0)
 	inC := in.Dim(1)
 	hw := in.Dim(2) * in.Dim(3)
 	outC := out.Dim(1)
+	bias := biasData(b)
 	if n >= Workers && Workers > 1 {
 		return parallelForCtx(ctx, n, func(lo, hi int) {
 			for bi := lo; bi < hi; bi++ {
-				cSlab := out.Data[bi*outC*hw : (bi+1)*outC*hw]
-				beta := biasFill(cSlab, hw, b)
-				gemm.SerialPackedA(hw, 1, p.pw, in.Data[bi*inC*hw:(bi+1)*inC*hw], hw, beta, cSlab, hw)
+				mulBlocks(true, p.pw, hw, in.Data[bi*inC*hw:(bi+1)*inC*hw], hw, bias, out.Data[bi*outC*hw:(bi+1)*outC*hw], hw)
 			}
 		})
 	}
@@ -132,9 +193,7 @@ func conv1x1PlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Te
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cSlab := out.Data[bi*outC*hw : (bi+1)*outC*hw]
-		beta := biasFill(cSlab, hw, b)
-		gemm.GemmPackedA(hw, 1, p.pw, in.Data[bi*inC*hw:(bi+1)*inC*hw], hw, beta, cSlab, hw)
+		mulBlocks(false, p.pw, hw, in.Data[bi*inC*hw:(bi+1)*inC*hw], hw, bias, out.Data[bi*outC*hw:(bi+1)*outC*hw], hw)
 	}
 	return nil
 }
@@ -142,7 +201,7 @@ func conv1x1PlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Te
 // im2colPlannedCtx lowers the convolution to a matrix product: each batch
 // element's input windows are unfolded through the plan's gather table
 // into a pooled column matrix, and out[bi] = W[OutC × InC·KH·KW] ·
-// col[InC·KH·KW × OH·OW] (+ bias) is one GEMM against the pre-packed
+// col[InC·KH·KW × OH·OW] + bias is one GEMM against the pre-packed
 // weight. Same batch/GEMM parallel split as conv1x1PlannedCtx.
 func im2colPlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Tensor, p *ConvPlan) error {
 	n := in.Dim(0)
@@ -150,14 +209,13 @@ func im2colPlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Ten
 	inHW := in.Dim(2) * in.Dim(3)
 	outC := out.Dim(1)
 	rows, cols := p.rows, p.cols
+	bias := biasData(b)
 	if n >= Workers && Workers > 1 {
 		return parallelForCtx(ctx, n, func(lo, hi int) {
 			colPtr := gemm.GetF32(rows * cols)
 			for bi := lo; bi < hi; bi++ {
 				im2colIndexed(*colPtr, in, bi, inC, inHW, p.idx)
-				cSlab := out.Data[bi*outC*cols : (bi+1)*outC*cols]
-				beta := biasFill(cSlab, cols, b)
-				gemm.SerialPackedA(cols, 1, p.pw, *colPtr, cols, beta, cSlab, cols)
+				mulBlocks(true, p.pw, cols, *colPtr, cols, bias, out.Data[bi*outC*cols:(bi+1)*outC*cols], cols)
 			}
 			gemm.PutF32(colPtr)
 		})
@@ -169,9 +227,7 @@ func im2colPlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Ten
 			return err
 		}
 		im2colIndexed(*colPtr, in, bi, inC, inHW, p.idx)
-		cSlab := out.Data[bi*outC*cols : (bi+1)*outC*cols]
-		beta := biasFill(cSlab, cols, b)
-		gemm.GemmPackedA(cols, 1, p.pw, *colPtr, cols, beta, cSlab, cols)
+		mulBlocks(false, p.pw, cols, *colPtr, cols, bias, out.Data[bi*outC*cols:(bi+1)*outC*cols], cols)
 	}
 	gemm.PutF32(colPtr)
 	return nil
@@ -221,23 +277,6 @@ func im2colIndexed(colBuf []float32, in *tensor.Tensor, bi, inC, inHW int, idx [
 	}
 }
 
-// biasFill prepares a [rows × cols] output slab for a beta-accumulating
-// GEMM: with a bias it seeds every row with its bias value and returns
-// beta=1; without, it returns beta=0 so the GEMM skips reading C entirely.
-func biasFill(dst []float32, cols int, b *tensor.Tensor) float32 {
-	if b == nil {
-		return 0
-	}
-	for r := 0; r < len(dst)/cols; r++ {
-		row := dst[r*cols : (r+1)*cols]
-		bv := b.Data[r]
-		for i := range row {
-			row[i] = bv
-		}
-	}
-	return 1
-}
-
 // is1x1Pointwise reports whether the conv is a pure channel mixing: 1×1
 // kernel, unit stride, no padding, no groups.
 func is1x1Pointwise(a *ir.ConvAttrs) bool {
@@ -246,25 +285,22 @@ func is1x1Pointwise(a *ir.ConvAttrs) bool {
 }
 
 // FusedPlan pre-packs a fused node's lconv and fconv weights as the A
-// operands of the per-tile GEMMs.
+// operands of the per-tile GEMMs: the lconv as one panel per diagonal
+// block (one block unless it is a merged lconv), the fconv as one block.
 type FusedPlan struct {
-	lw, fw *gemm.PackedA // fw is nil for tail fusion (no fconv)
+	lw, fw []gemmBlock // fw is nil for tail fusion (no fconv)
 }
 
 // PackedBytes reports the plan's resident packed-panel footprint.
 func (p *FusedPlan) PackedBytes() int64 {
-	b := p.lw.Bytes()
-	if p.fw != nil {
-		b += p.fw.Bytes()
-	}
-	return b
+	return blocksBytes(p.lw) + blocksBytes(p.fw)
 }
 
 // PlanFused prepares a fused lconv→act→[pool]→fconv node.
 func PlanFused(a *ir.FusedAttrs) *FusedPlan {
-	p := &FusedPlan{lw: gemm.PackA(a.MidC, a.InC, a.LW.Data, a.InC)}
+	p := &FusedPlan{lw: packBlocks(a.LBlocks, a.LW.Data, a.InC, a.MidC)}
 	if a.FW != nil {
-		p.fw = gemm.PackA(a.OutC, a.MidC, a.FW.Data, a.MidC)
+		p.fw = packBlocks(nil, a.FW.Data, a.MidC, a.OutC)
 	}
 	return p
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"temco/internal/exec"
+	"temco/internal/guard"
 	"temco/internal/ir"
 	"temco/internal/memplan"
 	"temco/internal/tensor"
@@ -53,6 +54,11 @@ func (t *Trainer) forward(x *tensor.Tensor) (map[*ir.Node]*tensor.Tensor, error)
 		}
 		if n.Kind == ir.KindFused {
 			return nil, fmt.Errorf("%w: %v", errUnsupported, n.Kind)
+		}
+		if n.Kind == ir.KindConv2D && n.Conv().Blocks != nil {
+			// gradConv2D assumes a dense [OutC, InC, KH, KW] weight.
+			return nil, guard.Errorf(guard.ErrInvalidModel, "train.forward",
+				"block-diagonal conv %s cannot be trained", n)
 		}
 		in := make([]*tensor.Tensor, len(n.Inputs))
 		for i, p := range n.Inputs {
