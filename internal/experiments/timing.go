@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"temco/internal/decompose"
-	"temco/internal/exec"
+	"temco/internal/engine"
 	"temco/internal/ir"
 	"temco/internal/models"
 	"temco/internal/tensor"
@@ -37,9 +39,10 @@ type TimeResult struct {
 }
 
 // InferenceTime reproduces Fig. 11: wall-clock inference of the Decomposed
-// baseline against the TeMCO-optimized variants. reps runs are taken and
-// the median reported. Variants compared are the paper's: Decomposed vs
-// Fusion (no skips) or Skip-Opt+Fusion (skips).
+// baseline against the TeMCO-optimized variants on the compiled engine,
+// the executor serve runs. reps alternating runs of each variant are taken
+// and the medians reported. Variants compared are the paper's: Decomposed
+// vs Fusion (no skips) or Skip-Opt+Fusion (skips).
 func InferenceTime(names []string, mcfg models.Config, dopts decompose.Options, batches []int, reps int) (TimeResult, error) {
 	res := TimeResult{OverheadGeomean: map[int]float64{}}
 	type acc struct {
@@ -67,14 +70,11 @@ func InferenceTime(names []string, mcfg models.Config, dopts decompose.Options, 
 		for _, batch := range batches {
 			x := tensor.New(batch, 3, mcfg.H, mcfg.W)
 			x.FillNormal(tensor.NewRNG(1), 0, 1)
-			dWall, dCalls, err := timeGraph(dg, x, reps)
+			walls, calls, err := timePair([2]*ir.Graph{dg, og}, x, reps)
 			if err != nil {
 				return res, err
 			}
-			oWall, oCalls, err := timeGraph(og, x, reps)
-			if err != nil {
-				return res, err
-			}
+			dWall, oWall, dCalls, oCalls := walls[0], walls[1], calls[0], calls[1]
 			ratio := float64(oWall) / float64(dWall)
 			res.Rows = append(res.Rows,
 				TimeRow{Model: name, Variant: Decomposed, Batch: batch, Wall: dWall, LayerCalls: dCalls, VsDecomposed: 1},
@@ -95,31 +95,43 @@ func InferenceTime(names []string, mcfg models.Config, dopts decompose.Options, 
 	return res, nil
 }
 
-func timeGraph(g *ir.Graph, x *tensor.Tensor, reps int) (time.Duration, int, error) {
+// timePair compiles both graphs for x's batch, warms one engine Instance
+// each, then times reps runs of each, alternating between the two so that
+// drift in the machine's speed lands on both alike. It returns each
+// graph's median wall time and kernel dispatch count.
+func timePair(gs [2]*ir.Graph, x *tensor.Tensor, reps int) (walls [2]time.Duration, calls [2]int, err error) {
 	if reps < 1 {
 		reps = 1
 	}
-	// Warmup run.
-	r, err := exec.Run(g, x)
-	if err != nil {
-		return 0, 0, err
-	}
-	calls := r.LayerCalls
-	times := make([]time.Duration, 0, reps)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if _, err := exec.Run(g, x); err != nil {
-			return 0, 0, err
+	ctx := context.Background()
+	var insts [2]*engine.Instance
+	for i, g := range gs {
+		e, err := engine.Compile(g, engine.Options{Batch: x.Dim(0)})
+		if err != nil {
+			return walls, calls, err
 		}
-		times = append(times, time.Since(start))
+		insts[i] = e.NewInstance()
+		r, err := insts[i].Run(ctx, x) // warmup: first-use layout and scratch
+		if err != nil {
+			return walls, calls, err
+		}
+		calls[i] = r.LayerCalls
 	}
-	// Median.
-	for i := 1; i < len(times); i++ {
-		for j := i; j > 0 && times[j] < times[j-1]; j-- {
-			times[j], times[j-1] = times[j-1], times[j]
+	var times [2][]time.Duration
+	for rep := 0; rep < reps; rep++ {
+		for i, inst := range insts {
+			start := time.Now()
+			if _, err := inst.Run(ctx, x); err != nil {
+				return walls, calls, err
+			}
+			times[i] = append(times[i], time.Since(start))
 		}
 	}
-	return times[len(times)/2], calls, nil
+	for i, ts := range times {
+		slices.Sort(ts)
+		walls[i] = ts[len(ts)/2]
+	}
+	return walls, calls, nil
 }
 
 // String renders the result as a fixed-width table.

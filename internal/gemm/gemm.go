@@ -4,19 +4,23 @@
 // micro products, and the float64 matmuls behind tensor decomposition).
 //
 // The algorithm is the classic three-level blocking scheme: A is packed once
-// into MR-row panels spanning the full K dimension, B is packed per
-// (KC × NC) cache block into NR-column panels, and an MR×NR register-tiled
-// micro-kernel accumulates over each KC slice. On amd64 with AVX2+FMA the
-// float32 micro-kernel is an 8×8 tile of fused-multiply-add vector
-// accumulators (kernel_amd64.s); everywhere else a scalar 4×4 tile is used.
-// Column strips of C are distributed over goroutines; every scratch panel
-// comes from the pooled workspace arena (workspace.go), so steady-state
-// calls allocate nothing.
+// into MR-row panels spanning the full K dimension, C is computed per
+// (KC × NC) cache block, and an MR×NR register tile accumulates over each KC
+// slice. On amd64 with AVX2+FMA the float32 tile is one 8×8 assembly kernel
+// (kernel_amd64.s) that reads B in place from the row-major operand — only
+// a transposed B and the partial NR panel at a strip's edge are packed —
+// and writes the tile into C in its own epilogue (alpha, bias, beta or
+// accumulate, then vector stores), with the same per-element rounding as
+// the scalar writeBack. Everywhere else a scalar 4×4 tile runs over packed
+// B panels. Column strips of C are distributed over goroutines; every
+// float32 scratch panel comes from the free-list workspace arena
+// (workspace.go), so steady-state calls allocate nothing.
 //
 // All entry points compute C = alpha·A·B + beta·C (the pre-packed bias
 // entry points C = A·B + bias, adding a per-row bias in the write-back) and
 // are deterministic: per-element accumulation order is independent of the
-// worker count, so serial and parallel runs produce bit-identical results.
+// worker count and of whether B was packed, so serial and parallel runs
+// produce bit-identical results.
 package gemm
 
 import (
@@ -151,14 +155,31 @@ func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, 
 }
 
 // gemmStrip runs the blocked macro-kernel over the column range [j0,j1) of
-// C. ap is the fully packed A. B panels come pre-packed from pb when it is
-// non-nil; otherwise the strip packs each (KC × NC) block of b into a
-// pooled panel. n is the full C width (pb indexing needs it).
+// C. ap is the fully packed A. B comes pre-packed from pb when it is
+// non-nil. Otherwise the AVX2 tile path reads a non-transposed B in place
+// (stride ldb) and packs only the partial edge panel, while transposed
+// operands and the portable 4×4 path pack each (KC × NC) block of b into a
+// pooled panel. Full AVX2 tiles are written into C by the tile kernel's
+// own epilogue; partial tiles, and every portable tile, go through a stack
+// tile and writeBack. n is the full C width (pb indexing needs it).
 func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias, c []T, ldc int) {
+	tile := mr == 8
+	inPlace := tile && pb == nil && !transB
+	// Strips start NR-aligned and blocks are NC wide, so only the last
+	// panel of the strip can be partial.
+	edge := (j1 - j0) % nr
 	var bp []T
 	var bpPtr *[]T
-	if pb == nil {
+	switch {
+	case pb != nil:
+	case inPlace:
+		if edge != 0 {
+			bpPtr = getWS[T](kc * nr)
+		}
+	default:
 		bpPtr = getWS[T](kc * roundUp(min(nc, j1-j0), nr))
+	}
+	if bpPtr != nil {
 		bp = *bpPtr
 	}
 	nR := roundUp(n, nr)
@@ -167,7 +188,13 @@ func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, a
 		ncR := roundUp(ncEff, nr)
 		for pc := 0; pc < k; pc += kc {
 			kcEff := min(kc, k-pc)
-			if pb == nil {
+			switch {
+			case pb != nil:
+			case inPlace:
+				if jc+ncEff == j1 && edge != 0 {
+					packB(bp[:kcEff*nr], b, ldb, pc, kcEff, j1-edge, edge, nr, false)
+				}
+			default:
 				packB(bp[:kcEff*ncR], b, ldb, pc, kcEff, jc, ncEff, nr, transB)
 			}
 			// The write-back mode is fixed per KC slice: the first one
@@ -183,21 +210,39 @@ func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, a
 				mode = wbBeta
 			}
 			for jr := 0; jr < ncEff; jr += nr {
-				var bPanel []T
-				if pb != nil {
+				nrEff := min(nr, ncEff-jr)
+				bPanel, bld := []T(nil), nr
+				switch {
+				case pb != nil:
 					// Block pc/kc starts at pc·nR (every earlier block holds
 					// kc full rows of all nR padded columns); panels inside
 					// it are nr·kcEff apart.
 					bPanel = pb[pc*nR+((jc+jr)/nr)*nr*kcEff:][: kcEff*nr : kcEff*nr]
-				} else {
+				case inPlace && nrEff == nr:
+					bPanel, bld = b[pc*ldb+jc+jr:], ldb
+				case inPlace:
+					bPanel = bp[:kcEff*nr]
+				default:
 					bPanel = bp[(jr/nr)*nr*kcEff:][: kcEff*nr : kcEff*nr]
 				}
-				nrEff := min(nr, ncEff-jr)
 				for ir := 0; ir < m; ir += mr {
 					aPanel := ap[(ir/mr)*mr*k+pc*mr:][: kcEff*mr : kcEff*mr]
+					mrEff := min(mr, m-ir)
+					if tile && nrEff == nr {
+						var rowBias []T
+						if mode == wbBias {
+							rowBias = bias[ir:]
+						}
+						tileKernel(kcEff, aPanel, bPanel, bld, c[ir*ldc+jc+jr:], ldc, mrEff, mode, alpha, beta, rowBias)
+						continue
+					}
 					var acc [maxTile * maxTile]T
-					microKernel(kcEff, mr, aPanel, bPanel, &acc)
-					writeBack(mode, c, ldc, ir, jc+jr, min(mr, m-ir), nrEff, nr, alpha, beta, bias, &acc)
+					if tile {
+						tileKernel(kcEff, aPanel, bPanel, bld, acc[:], nr, nr, wbOverwrite, 1, 0, nil)
+					} else {
+						microKernel(kcEff, aPanel, bPanel, &acc)
+					}
+					writeBack(mode, c, ldc, ir, jc+jr, mrEff, nrEff, nr, alpha, beta, bias, &acc)
 				}
 			}
 		}
@@ -207,16 +252,11 @@ func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, a
 	}
 }
 
-// microKernel accumulates acc[i*nr+j] += Σ_p aPanel[p*mr+i]·bPanel[p*nr+j]
-// for the full MR×NR register tile (MR == NR here). Panels are zero-padded
-// at the edges, so no remainder handling is needed; the accumulators live
-// in registers across the whole KC slice.
-func microKernel[T float](kcEff, mr int, aPanel, bPanel []T, acc *[maxTile * maxTile]T) {
-	if mr == 8 {
-		// AVX2+FMA 8×8 kernel (float32 only; tileDims gates this path).
-		microKernel8x8F32(kcEff, aPanel, bPanel, acc)
-		return
-	}
+// microKernel is the portable 4×4 tile: acc[i*4+j] += Σ_p aPanel[p*4+i]·
+// bPanel[p*4+j]. Panels are zero-padded at the edges, so no remainder
+// handling is needed; the accumulators live in registers across the whole
+// KC slice.
+func microKernel[T float](kcEff int, aPanel, bPanel []T, acc *[maxTile * maxTile]T) {
 	var c00, c01, c02, c03 T
 	var c10, c11, c12, c13 T
 	var c20, c21, c22, c23 T
@@ -250,7 +290,8 @@ func microKernel[T float](kcEff, mr int, aPanel, bPanel []T, acc *[maxTile * max
 	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
 }
 
-// Write-back modes: how one micro-tile lands in C.
+// Write-back modes: how one micro-tile lands in C. The values are also the
+// mode argument of tileKernelAsm (kernel_amd64.s), which branches on them.
 const (
 	wbAccumulate = iota // later KC slices: C += alpha·acc
 	wbOverwrite         // first slice, beta == 0: C = alpha·acc, C never read

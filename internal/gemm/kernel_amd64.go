@@ -10,7 +10,7 @@ import (
 // fmaAvailable caches the one-time CPU feature detection.
 var fmaAvailable = detectFMA()
 
-// useFMA gates the 8×8 AVX2+FMA float32 micro-kernel. Detection runs once
+// useFMA gates the 8×8 AVX2+FMA float32 tile kernel. Detection runs once
 // at init; TEMCO_NOSIMD=1 forces the portable scalar tile (useful when
 // bisecting numerical differences, since FMA rounds once per multiply-add).
 // SetSIMD flips it at runtime under the same hardware gate.
@@ -27,7 +27,7 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 //go:noescape
-func microKernel8x8asm(k int, a, b *float32, acc *[64]float32)
+func tileKernelAsm(k int, a, b *float32, ldb int, c *float32, ldc, rows, mode int, alpha, beta float32, bias *float32)
 
 //go:noescape
 func convRowAccumAsm(dst, x, w *float32, n, rows, kw, xStride int)
@@ -115,13 +115,25 @@ func detectFMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// microKernel8x8F32 bridges the generic macro-kernel onto the assembly
-// tile. It is only reachable when T is float32 (tileDims yields an 8-tile
-// solely for float32 with useFMA set), so the unsafe reinterpretation is
-// sound; panels are non-empty because kcEff ≥ 1.
-func microKernel8x8F32[T float](kcEff int, aPanel, bPanel []T, acc *[maxTile * maxTile]T) {
-	microKernel8x8asm(kcEff,
+// tileKernel bridges the generic macro-kernel onto the assembly tile: an
+// 8×8 product of the packed A panel and eight columns of b (row stride
+// ldb: 8 for a packed panel, the operand's leading dimension when read in
+// place) written into the first rows rows of c (row stride ldc) in the
+// given write-back mode. It is only reachable when T is float32 (tileDims
+// yields an 8-tile solely for float32 with useFMA set), so the unsafe
+// reinterpretation is sound. The reslices bound every byte the assembly
+// touches, so a bad stride panics here instead of corrupting memory.
+func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mode int, alpha, beta T, bias []T) {
+	aPanel = aPanel[:kcEff*8]
+	b = b[:(kcEff-1)*ldb+8]
+	c = c[:(rows-1)*ldc+8]
+	var bp *float32
+	if mode == wbBias {
+		bp = (*float32)(unsafe.Pointer(&bias[:rows][0]))
+	}
+	tileKernelAsm(kcEff,
 		(*float32)(unsafe.Pointer(&aPanel[0])),
-		(*float32)(unsafe.Pointer(&bPanel[0])),
-		(*[64]float32)(unsafe.Pointer(acc)))
+		(*float32)(unsafe.Pointer(&b[0])), ldb,
+		(*float32)(unsafe.Pointer(&c[0])), ldc, rows, mode,
+		float32(alpha), float32(beta), bp)
 }

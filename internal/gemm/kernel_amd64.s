@@ -1,8 +1,9 @@
-// AVX2+FMA micro-kernel and CPUID feature probes for the float32 GEMM
-// path. The micro-kernel computes an 8-row × 8-column tile of C from
-// MR=8-packed A panels and NR=8-packed B panels: per k step it loads one
-// B row vector and fuses eight broadcast-multiply-adds, one per A row,
-// into eight YMM accumulators.
+// AVX2+FMA tile kernel and CPUID feature probes for the float32 GEMM
+// path. The tile kernel computes an 8-row × 8-column tile of C from an
+// MR=8-packed A panel and eight columns of B (a packed panel or the
+// row-major operand in place): per k step it loads one B row vector and
+// fuses eight broadcast-multiply-adds, one per A row, into eight YMM
+// accumulators, then writes the tile into C in its epilogue.
 
 #include "textflag.h"
 
@@ -25,15 +26,79 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func microKernel8x8asm(k int, a, b *float32, acc *[64]float32)
+// The tile kernel's epilogue, one macro per write-back mode. Each folds
+// the alpha-scaled accumulator row acc into the C row at DX, stores it with
+// one vector store, steps DX by the C row stride (R10 bytes), and leaves
+// for tdone once R9 rows are written. The roundings are those of the
+// scalar gemm.writeBack loops: alpha·acc, then one add.
+#define TILE_ACCUMULATE(acc) \
+	VADDPS  (DX), acc, acc; \
+	VMOVUPS acc, (DX); \
+	ADDQ    R10, DX; \
+	DECQ    R9; \
+	JZ      tdone
+
+#define TILE_OVERWRITE(acc) \
+	VMOVUPS acc, (DX); \
+	ADDQ    R10, DX; \
+	DECQ    R9; \
+	JZ      tdone
+
+#define TILE_BETA(acc) \
+	VMULPS  (DX), Y15, Y9; \
+	VADDPS  Y9, acc, acc; \
+	VMOVUPS acc, (DX); \
+	ADDQ    R10, DX; \
+	DECQ    R9; \
+	JZ      tdone
+
+#define TILE_BIAS(acc) \
+	VBROADCASTSS (R12), Y9; \
+	VADDPS       Y9, acc, acc; \
+	VMOVUPS      acc, (DX); \
+	ADDQ         $4, R12; \
+	ADDQ         R10, DX; \
+	DECQ         R9; \
+	JZ           tdone
+
+// One k step: load the B row at DI, fuse eight broadcast-multiply-adds
+// (one per A row at SI+off) into Y0–Y7. brow/ba/bb are scratch registers.
+#define TILE_STEP(off, brow, ba, bb) \
+	VMOVUPS      (DI), brow; \
+	VBROADCASTSS (off+0)(SI), ba; \
+	VFMADD231PS  brow, ba, Y0; \
+	VBROADCASTSS (off+4)(SI), bb; \
+	VFMADD231PS  brow, bb, Y1; \
+	VBROADCASTSS (off+8)(SI), ba; \
+	VFMADD231PS  brow, ba, Y2; \
+	VBROADCASTSS (off+12)(SI), bb; \
+	VFMADD231PS  brow, bb, Y3; \
+	VBROADCASTSS (off+16)(SI), ba; \
+	VFMADD231PS  brow, ba, Y4; \
+	VBROADCASTSS (off+20)(SI), bb; \
+	VFMADD231PS  brow, bb, Y5; \
+	VBROADCASTSS (off+24)(SI), ba; \
+	VFMADD231PS  brow, ba, Y6; \
+	VBROADCASTSS (off+28)(SI), bb; \
+	VFMADD231PS  brow, bb, Y7
+
+// func tileKernelAsm(k int, a, b *float32, ldb int, c *float32, ldc, rows, mode int, alpha, beta float32, bias *float32)
 //
-// acc[i*8+j] = Σ_p a[p*8+i] · b[p*8+j] for the full 8×8 tile. The k loop
-// is unrolled by two; Y0–Y7 hold one output row each (8 columns wide).
-TEXT ·microKernel8x8asm(SB), NOSPLIT, $0-32
+// The one float32 GEMM tile: acc[i][j] = Σ_p a[p*8+i] · b[p*ldb+j] over an
+// 8-row × 8-column tile, accumulated in Y0–Y7 (one output row each) with
+// one FMA per step in p order, then written straight into the first rows
+// rows of C (row stride ldc elements) in the given gemm.writeBack mode:
+// 0 accumulate C += alpha·acc, 1 overwrite C = alpha·acc, 2 beta
+// C = alpha·acc + beta·C, 3 bias C = alpha·acc + bias[i]. a is an MR=8
+// packed A panel; b is either a packed NR=8 panel (ldb = 8) or the
+// row-major B operand read in place (ldb = its leading dimension). The
+// k loop is unrolled by two. k and rows must be >= 1, rows <= 8.
+TEXT ·tileKernelAsm(SB), NOSPLIT, $0-80
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
-	MOVQ acc+24(FP), DX
+	MOVQ ldb+24(FP), R8
+	SHLQ $2, R8        // B row stride in bytes
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -46,83 +111,87 @@ TEXT ·microKernel8x8asm(SB), NOSPLIT, $0-32
 
 	MOVQ CX, BX
 	SHRQ $1, CX        // CX = k/2 double steps
-	JZ   tail
+	JZ   ttail
 
-loop2:
-	// step 0
-	VMOVUPS      (DI), Y8
-	VBROADCASTSS (SI), Y9
-	VFMADD231PS  Y8, Y9, Y0
-	VBROADCASTSS 4(SI), Y10
-	VFMADD231PS  Y8, Y10, Y1
-	VBROADCASTSS 8(SI), Y9
-	VFMADD231PS  Y8, Y9, Y2
-	VBROADCASTSS 12(SI), Y10
-	VFMADD231PS  Y8, Y10, Y3
-	VBROADCASTSS 16(SI), Y9
-	VFMADD231PS  Y8, Y9, Y4
-	VBROADCASTSS 20(SI), Y10
-	VFMADD231PS  Y8, Y10, Y5
-	VBROADCASTSS 24(SI), Y9
-	VFMADD231PS  Y8, Y9, Y6
-	VBROADCASTSS 28(SI), Y10
-	VFMADD231PS  Y8, Y10, Y7
-
-	// step 1
-	VMOVUPS      32(DI), Y11
-	VBROADCASTSS 32(SI), Y12
-	VFMADD231PS  Y11, Y12, Y0
-	VBROADCASTSS 36(SI), Y13
-	VFMADD231PS  Y11, Y13, Y1
-	VBROADCASTSS 40(SI), Y12
-	VFMADD231PS  Y11, Y12, Y2
-	VBROADCASTSS 44(SI), Y13
-	VFMADD231PS  Y11, Y13, Y3
-	VBROADCASTSS 48(SI), Y12
-	VFMADD231PS  Y11, Y12, Y4
-	VBROADCASTSS 52(SI), Y13
-	VFMADD231PS  Y11, Y13, Y5
-	VBROADCASTSS 56(SI), Y12
-	VFMADD231PS  Y11, Y12, Y6
-	VBROADCASTSS 60(SI), Y13
-	VFMADD231PS  Y11, Y13, Y7
-
+tloop2:
+	TILE_STEP(0, Y8, Y9, Y10)
+	ADDQ R8, DI
+	TILE_STEP(32, Y11, Y12, Y13)
+	ADDQ R8, DI
 	ADDQ $64, SI
-	ADDQ $64, DI
 	DECQ CX
-	JNE  loop2
+	JNE  tloop2
 
-tail:
+ttail:
 	ANDQ $1, BX
-	JZ   done
+	JZ   tstore
+	TILE_STEP(0, Y8, Y9, Y10)
 
-	VMOVUPS      (DI), Y8
-	VBROADCASTSS (SI), Y9
-	VFMADD231PS  Y8, Y9, Y0
-	VBROADCASTSS 4(SI), Y10
-	VFMADD231PS  Y8, Y10, Y1
-	VBROADCASTSS 8(SI), Y9
-	VFMADD231PS  Y8, Y9, Y2
-	VBROADCASTSS 12(SI), Y10
-	VFMADD231PS  Y8, Y10, Y3
-	VBROADCASTSS 16(SI), Y9
-	VFMADD231PS  Y8, Y9, Y4
-	VBROADCASTSS 20(SI), Y10
-	VFMADD231PS  Y8, Y10, Y5
-	VBROADCASTSS 24(SI), Y9
-	VFMADD231PS  Y8, Y9, Y6
-	VBROADCASTSS 28(SI), Y10
-	VFMADD231PS  Y8, Y10, Y7
+tstore:
+	MOVQ         c+32(FP), DX
+	MOVQ         ldc+40(FP), R10
+	SHLQ         $2, R10   // C row stride in bytes
+	MOVQ         rows+48(FP), R9
+	MOVQ         mode+56(FP), R11
+	MOVQ         bias+72(FP), R12
+	VBROADCASTSS alpha+64(FP), Y14
+	VBROADCASTSS beta+68(FP), Y15
+	VMULPS       Y14, Y0, Y0
+	VMULPS       Y14, Y1, Y1
+	VMULPS       Y14, Y2, Y2
+	VMULPS       Y14, Y3, Y3
+	VMULPS       Y14, Y4, Y4
+	VMULPS       Y14, Y5, Y5
+	VMULPS       Y14, Y6, Y6
+	VMULPS       Y14, Y7, Y7
 
-done:
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	VMOVUPS Y2, 64(DX)
-	VMOVUPS Y3, 96(DX)
-	VMOVUPS Y4, 128(DX)
-	VMOVUPS Y5, 160(DX)
-	VMOVUPS Y6, 192(DX)
-	VMOVUPS Y7, 224(DX)
+	CMPQ R11, $1
+	JEQ  toverwrite
+	CMPQ R11, $2
+	JEQ  tbeta
+	CMPQ R11, $3
+	JEQ  tbias
+
+	TILE_ACCUMULATE(Y0)
+	TILE_ACCUMULATE(Y1)
+	TILE_ACCUMULATE(Y2)
+	TILE_ACCUMULATE(Y3)
+	TILE_ACCUMULATE(Y4)
+	TILE_ACCUMULATE(Y5)
+	TILE_ACCUMULATE(Y6)
+	TILE_ACCUMULATE(Y7)
+
+toverwrite:
+	TILE_OVERWRITE(Y0)
+	TILE_OVERWRITE(Y1)
+	TILE_OVERWRITE(Y2)
+	TILE_OVERWRITE(Y3)
+	TILE_OVERWRITE(Y4)
+	TILE_OVERWRITE(Y5)
+	TILE_OVERWRITE(Y6)
+	TILE_OVERWRITE(Y7)
+
+tbeta:
+	TILE_BETA(Y0)
+	TILE_BETA(Y1)
+	TILE_BETA(Y2)
+	TILE_BETA(Y3)
+	TILE_BETA(Y4)
+	TILE_BETA(Y5)
+	TILE_BETA(Y6)
+	TILE_BETA(Y7)
+
+tbias:
+	TILE_BIAS(Y0)
+	TILE_BIAS(Y1)
+	TILE_BIAS(Y2)
+	TILE_BIAS(Y3)
+	TILE_BIAS(Y4)
+	TILE_BIAS(Y5)
+	TILE_BIAS(Y6)
+	TILE_BIAS(Y7)
+
+tdone:
 	VZEROUPPER
 	RET
 

@@ -10,10 +10,10 @@ var useFMA = false
 // simdAvailable reports false off amd64: there is no vector kernel.
 func simdAvailable() bool { return false }
 
-// microKernel8x8F32 is unreachable when useFMA is false; it exists so the
-// generic macro-kernel compiles on every architecture.
-func microKernel8x8F32[T float](kcEff int, aPanel, bPanel []T, acc *[maxTile * maxTile]T) {
-	panic("gemm: 8×8 micro-kernel invoked without AVX2 support")
+// tileKernel is unreachable when useFMA is false; it exists so the generic
+// macro-kernel compiles on every architecture.
+func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mode int, alpha, beta T, bias []T) {
+	panic("gemm: 8×8 tile kernel invoked without AVX2 support")
 }
 
 // convRowAccumArch reports no vector row-accumulation kernel off amd64;

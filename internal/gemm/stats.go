@@ -39,7 +39,7 @@ func PoolStatsSnapshot() PoolStats {
 	}
 }
 
-// SIMD reports whether the AVX2+FMA 8×8 micro-kernel is active (false when
+// SIMD reports whether the AVX2+FMA 8×8 tile kernel is active (false when
 // unsupported by the CPU or disabled via TEMCO_NOSIMD / SetSIMD).
 func SIMD() bool { return useFMA }
 

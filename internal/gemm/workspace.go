@@ -7,21 +7,27 @@ import (
 	"temco/internal/faultinject"
 )
 
-// The workspace arena: power-of-two size-class pools of scratch slices.
-// Kernels borrow packing panels, im2col column buffers, and fused-kernel
-// tile scratch from here instead of calling make on every invocation, so
-// steady-state inference performs zero hot-path allocations. The API hands
-// out *[]T rather than []T because storing a bare slice in a sync.Pool
-// boxes a fresh header on every Put; a pointer round-trips allocation-free.
+// The workspace arena: power-of-two size classes of recycled scratch
+// slices. Kernels borrow packing panels, im2col column buffers, and
+// fused-kernel tile scratch from here instead of calling make on every
+// invocation, so steady-state inference performs zero hot-path
+// allocations. Each class is a mutex-guarded LIFO free list: unlike a
+// sync.Pool it has no per-P caches for a migrating goroutine to miss and is
+// not emptied by the GC, so a warmed arena stays warm on any number of Ps.
+// It retains its high-water mark of concurrently borrowed buffers per
+// class. The API hands out *[]T rather than []T so a borrow round-trips
+// through the free list without boxing a fresh slice header.
 //
 // Buffers are returned with len == the requested size but are NOT zeroed:
 // callers own the full initialization of the region they read.
 
-// poolSet is a set of sync.Pools bucketed by ceil(log2(size)). Slices are
-// always allocated at exactly their class capacity so Put can re-bucket
+// poolSet is a set of free lists bucketed by ceil(log2(size)). Slices are
+// always allocated at exactly their class capacity so put can re-bucket
 // from cap alone.
 type poolSet[T any] struct {
-	classes [48]sync.Pool
+	mu      sync.Mutex
+	classes [48][]*[]T
+	empty   []T // what every zero-length borrow points at
 }
 
 func (ps *poolSet[T]) get(n int) *[]T {
@@ -29,8 +35,7 @@ func (ps *poolSet[T]) get(n int) *[]T {
 	// One atomic nil-check when no injector is installed.
 	faultinject.Alloc()
 	if n <= 0 {
-		s := []T{}
-		return &s
+		return &ps.empty
 	}
 	cls := bits.Len(uint(n - 1))
 	if cls >= len(ps.classes) {
@@ -38,15 +43,19 @@ func (ps *poolSet[T]) get(n int) *[]T {
 		s := make([]T, n)
 		return &s
 	}
-	if v := ps.classes[cls].Get(); v != nil {
+	ps.mu.Lock()
+	if free := ps.classes[cls]; len(free) > 0 {
+		p := free[len(free)-1]
+		free[len(free)-1] = nil
+		ps.classes[cls] = free[:len(free)-1]
+		ps.mu.Unlock()
 		poolHits.Add(1)
-		p := v.(*[]T)
 		*p = (*p)[:n]
 		return p
 	}
+	ps.mu.Unlock()
 	poolMisses.Add(1)
-	s := make([]T, 1<<cls)
-	s = s[:n]
+	s := make([]T, n, 1<<cls)
 	return &s
 }
 
@@ -59,12 +68,13 @@ func (ps *poolSet[T]) put(p *[]T) {
 		return // oversized or foreign slice: let the GC take it
 	}
 	*p = (*p)[:cap(*p)]
-	ps.classes[cls].Put(p)
+	ps.mu.Lock()
+	ps.classes[cls] = append(ps.classes[cls], p)
+	ps.mu.Unlock()
 }
 
 var (
 	f32Pool  poolSet[float32]
-	f64Pool  poolSet[float64]
 	i32Pool  poolSet[int32]
 	boolPool poolSet[bool]
 )
@@ -74,12 +84,6 @@ func GetF32(n int) *[]float32 { return f32Pool.get(n) }
 
 // PutF32 returns a slice borrowed with GetF32 to the arena.
 func PutF32(p *[]float32) { f32Pool.put(p) }
-
-// GetF64 borrows a float64 scratch slice of length n (uninitialized).
-func GetF64(n int) *[]float64 { return f64Pool.get(n) }
-
-// PutF64 returns a slice borrowed with GetF64 to the arena.
-func PutF64(p *[]float64) { f64Pool.put(p) }
 
 // GetI32 borrows an int32 scratch slice of length n (uninitialized).
 func GetI32(n int) *[]int32 { return i32Pool.get(n) }
@@ -93,21 +97,20 @@ func GetBool(n int) *[]bool { return boolPool.get(n) }
 // PutBool returns a slice borrowed with GetBool to the arena.
 func PutBool(p *[]bool) { boolPool.put(p) }
 
-// getWS dispatches the generic gemm core onto the per-type pools. The
-// float constraint admits exactly float32 and float64, so the two-way
-// branch is total.
+// getWS borrows the generic gemm core's panels. float32 panels come from
+// the arena; float64 panels serve only the setup-time linalg products, so
+// they are allocated per call and left to the GC rather than retained.
 func getWS[T float](n int) *[]T {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(f32Pool.get(n)).(*[]T)
+	if ps, ok := any(&f32Pool).(*poolSet[T]); ok {
+		return ps.get(n)
 	}
-	return any(f64Pool.get(n)).(*[]T)
+	s := make([]T, n)
+	return &s
 }
 
+// putWS returns a panel borrowed with getWS; float64 panels are dropped.
 func putWS[T float](p *[]T) {
-	if _, ok := any(p).(*[]float32); ok {
-		f32Pool.put(any(p).(*[]float32))
-		return
+	if ps, ok := any(&f32Pool).(*poolSet[T]); ok {
+		ps.put(p)
 	}
-	f64Pool.put(any(p).(*[]float64))
 }

@@ -152,3 +152,63 @@ func TestBlockPlansPackLess(t *testing.T) {
 		t.Errorf("block fused plan packs %d bytes, dense %d", b, d)
 	}
 }
+
+// TestFusedTileMatchesPointwiseChain: the fused kernel's GEMMs read their
+// B operand in place from tile scratch whose row stride exceeds the
+// product width (a ragged pooled tile has fCols = tileH·T < fld = T²) and
+// store into C rows of the same stride, while its block lconv reads and
+// writes channel sub-ranges. Per output element that is the same FMA
+// chain and write-back as the unfused chain — pointwise block conv over
+// the whole plane, activation, pool, pointwise fconv — so the two must
+// agree bit for bit, serial and parallel.
+func TestFusedTileMatchesPointwiseChain(t *testing.T) {
+	old := Workers
+	defer SetWorkers(old)
+	r := tensor.NewRNG(24)
+	compact, _ := blockWeight(r, testBlocks)
+	lb := randT(r, 68)
+	fw := randT(r, 6, 68, 1, 1)
+	fb := randT(r, 6)
+	lattrs := &ir.ConvAttrs{InC: 11, OutC: 68, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1, Blocks: testBlocks}
+	fattrs := &ir.ConvAttrs{InC: 68, OutC: 6, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1}
+	pools := []struct {
+		name string
+		p    *ir.PoolAttrs
+	}{
+		{"max2x2", &ir.PoolAttrs{KH: 2, KW: 2, SH: 2, SW: 2}},
+		{"max3x3pad", &ir.PoolAttrs{KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1}},
+	}
+	for _, pl := range pools {
+		for _, act := range []ir.Kind{ir.KindReLU, ir.KindSiLU} {
+			a := &ir.FusedAttrs{InC: 11, MidC: 68, OutC: 6, Act: act, Pool: pl.p, PoolKind: ir.KindMaxPool,
+				LW: compact, LB: lb, FW: fw, FB: fb, LBlocks: testBlocks}
+			// 19×13 pools to 9×6 (max2x2) or 10×7 (max3x3pad): the last
+			// tile row is ragged, so its pooled tile has fCols < fld.
+			in := randT(r, 2, 11, 19, 13)
+			for _, workers := range []int{1, 4} {
+				SetWorkers(workers)
+				label := fmt.Sprintf("%s/%v/workers=%d", pl.name, act, workers)
+				mid := tensor.New(2, 68, 19, 13)
+				convAs(convPointwise, mid, in, compact, lb, lattrs)
+				acted := tensor.New(mid.Shape...)
+				if act == ir.KindReLU {
+					ReLU(acted, mid)
+				} else {
+					SiLU(acted, mid)
+				}
+				oh := (19+2*pl.p.PH-pl.p.KH)/pl.p.SH + 1
+				ow := (13+2*pl.p.PW-pl.p.KW)/pl.p.SW + 1
+				if oh%FusedTile == 0 {
+					t.Fatalf("%s: pooled height %d leaves no ragged tile", label, oh)
+				}
+				pooled := tensor.New(2, 68, oh, ow)
+				MaxPool(pooled, acted, pl.p)
+				want := tensor.New(2, 6, oh, ow)
+				convAs(convPointwise, want, pooled, fw, fb, fattrs)
+				got := tensor.New(2, 6, oh, ow)
+				fusedPlanned(got, in, a)
+				requireSameBits(t, label, got, want)
+			}
+		}
+	}
+}
