@@ -10,15 +10,18 @@
 // (kernel_amd64.s) that reads B in place from the row-major operand — only
 // a transposed B and the partial NR panel at a strip's edge are packed —
 // and writes the tile into C in its own epilogue (alpha, bias, beta or
-// accumulate, then vector stores), with the same per-element rounding as
-// the scalar writeBack. Everywhere else a scalar 4×4 tile runs over packed
-// B panels. Column strips of C are distributed over goroutines; every
-// float32 scratch panel comes from the free-list workspace arena
-// (workspace.go), so steady-state calls allocate nothing.
+// accumulate, then an optional ReLU clamp and vector stores), with the
+// same per-element rounding as the scalar writeBack. Everywhere else a
+// scalar 4×4 tile runs over packed B panels. Column strips of C are
+// distributed over goroutines; every float32 scratch panel comes from the
+// free-list workspace arena (workspace.go), so steady-state calls allocate
+// nothing. pool_row.go holds the two element kernels the fused conv runner
+// needs next to its GEMMs: one max-pool row for any window and ReLU.
 //
 // All entry points compute C = alpha·A·B + beta·C (the pre-packed bias
-// entry points C = A·B + bias, adding a per-row bias in the write-back) and
-// are deterministic: per-element accumulation order is independent of the
+// entry points C = A·B + bias, adding a per-row bias in the write-back and
+// optionally applying ReLU as the final KC slice is stored) and are
+// deterministic: per-element accumulation order is independent of the
 // worker count and of whether B was packed, so serial and parallel runs
 // produce bit-identical results.
 package gemm
@@ -106,7 +109,7 @@ func gemmAny[T float](transA, transB bool, m, n, k int, alpha T, a []T, lda int,
 	defer putWS(apPtr)
 	ap := *apPtr
 	packA(ap, a, lda, m, k, mr, transA)
-	gemmCore(true, transB, m, n, k, mr, nr, alpha, ap, b, ldb, nil, beta, nil, c, ldc)
+	gemmCore(true, transB, m, n, k, mr, nr, alpha, ap, b, ldb, nil, beta, nil, false, c, ldc)
 }
 
 // gemmCore fans the blocked macro-kernel out over NR-aligned column strips.
@@ -114,13 +117,14 @@ func gemmAny[T float](transA, transB bool, m, n, k int, alpha T, a []T, lda int,
 // When pb is non-nil it is the pre-packed full-width B (PackedB layout) and
 // b/ldb are ignored; otherwise each strip packs its own B blocks from b.
 // A non-nil bias (m values, beta must be 0) is added to every element of
-// its row as the first KC slice is written. The strip schedule depends
+// its row as the first KC slice is written; relu clamps every element to
+// max(+0, v) as the final KC slice is written. The strip schedule depends
 // only on (m, n, k, nr), so pre-packed and pack-on-the-fly runs produce
 // bit-identical results.
-func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias, c []T, ldc int) {
+func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias []T, relu bool, c []T, ldc int) {
 	w := Workers()
 	if !parallel || w <= 1 || n < 2*nr || m*n*k < 1<<15 {
-		gemmStrip(0, n, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, c, ldc)
+		gemmStrip(0, n, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, relu, c, ldc)
 		return
 	}
 	// Column strips, NR-aligned so panel boundaries (and therefore
@@ -145,7 +149,7 @@ func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, 
 					panicked.CompareAndSwap(nil, &r)
 				}
 			}()
-			gemmStrip(j0, j1, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, c, ldc)
+			gemmStrip(j0, j1, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, relu, c, ldc)
 		}(j0, j1)
 	}
 	wg.Wait()
@@ -162,7 +166,7 @@ func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, 
 // pooled panel. Full AVX2 tiles are written into C by the tile kernel's
 // own epilogue; partial tiles, and every portable tile, go through a stack
 // tile and writeBack. n is the full C width (pb indexing needs it).
-func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias, c []T, ldc int) {
+func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias []T, relu bool, c []T, ldc int) {
 	tile := mr == 8
 	inPlace := tile && pb == nil && !transB
 	// Strips start NR-aligned and blocks are NC wide, so only the last
@@ -198,7 +202,9 @@ func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, a
 				packB(bp[:kcEff*ncR], b, ldb, pc, kcEff, jc, ncEff, nr, transB)
 			}
 			// The write-back mode is fixed per KC slice: the first one
-			// applies bias or beta, every later one accumulates.
+			// applies bias or beta, every later one accumulates. ReLU
+			// rides on the last slice, when each element is final.
+			last := relu && pc+kcEff == k
 			mode := wbAccumulate
 			switch {
 			case pc > 0:
@@ -233,16 +239,16 @@ func gemmStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, a
 						if mode == wbBias {
 							rowBias = bias[ir:]
 						}
-						tileKernel(kcEff, aPanel, bPanel, bld, c[ir*ldc+jc+jr:], ldc, mrEff, mode, alpha, beta, rowBias)
+						tileKernel(kcEff, aPanel, bPanel, bld, c[ir*ldc+jc+jr:], ldc, mrEff, mode, alpha, beta, rowBias, last)
 						continue
 					}
 					var acc [maxTile * maxTile]T
 					if tile {
-						tileKernel(kcEff, aPanel, bPanel, bld, acc[:], nr, nr, wbOverwrite, 1, 0, nil)
+						tileKernel(kcEff, aPanel, bPanel, bld, acc[:], nr, nr, wbOverwrite, 1, 0, nil, false)
 					} else {
 						microKernel(kcEff, aPanel, bPanel, &acc)
 					}
-					writeBack(mode, c, ldc, ir, jc+jr, mrEff, nrEff, nr, alpha, beta, bias, &acc)
+					writeBack(mode, c, ldc, ir, jc+jr, mrEff, nrEff, nr, alpha, beta, bias, last, &acc)
 				}
 			}
 		}
@@ -303,7 +309,9 @@ const (
 // picked once per tile, so the element loops carry no branch. alpha·acc +
 // bias rounds exactly like alpha·acc + 1·C over a C pre-filled with the
 // bias, so the bias mode is bit-identical to that older two-pass form.
-func writeBack[T float](mode int, c []T, ldc, i0, j0, mrEff, nrEff, nr int, alpha, beta T, bias []T, acc *[maxTile * maxTile]T) {
+// relu then clamps the written rows with the scalar ReLU rule, exactly
+// like the tile kernel's +0 floor.
+func writeBack[T float](mode int, c []T, ldc, i0, j0, mrEff, nrEff, nr int, alpha, beta T, bias []T, relu bool, acc *[maxTile * maxTile]T) {
 	switch mode {
 	case wbAccumulate:
 		for i := 0; i < mrEff; i++ {
@@ -332,6 +340,17 @@ func writeBack[T float](mode int, c []T, ldc, i0, j0, mrEff, nrEff, nr int, alph
 			row := c[(i0+i)*ldc+j0:][:nrEff]
 			for j, v := range acc[i*nr : i*nr+nrEff] {
 				row[j] = alpha*v + beta*row[j]
+			}
+		}
+	}
+	if !relu {
+		return
+	}
+	for i := 0; i < mrEff; i++ {
+		row := c[(i0+i)*ldc+j0:][:nrEff]
+		for j, v := range row {
+			if v < 0 {
+				row[j] = 0
 			}
 		}
 	}

@@ -211,16 +211,11 @@ func TestWorkspacePoolRoundTrip(t *testing.T) {
 		t.Fatalf("GetF32(100): len=%d cap=%d, want 100/128", len(*p), cap(*p))
 	}
 	PutF32(p)
-	q := GetI32(0)
+	q := GetF32(0)
 	if len(*q) != 0 {
-		t.Fatalf("GetI32(0): len=%d", len(*q))
+		t.Fatalf("GetF32(0): len=%d", len(*q))
 	}
-	PutI32(q)
-	bp := GetBool(9)
-	if len(*bp) != 9 {
-		t.Fatalf("GetBool(9): len=%d", len(*bp))
-	}
-	PutBool(bp)
+	PutF32(q)
 }
 
 func max(a, b int) int {

@@ -27,7 +27,7 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 //go:noescape
-func tileKernelAsm(k int, a, b *float32, ldb int, c *float32, ldc, rows, mode int, alpha, beta float32, bias *float32)
+func tileKernelAsm(k int, a, b *float32, ldb int, c *float32, ldc, rows, mode int, alpha, beta float32, bias *float32, relu int)
 
 //go:noescape
 func convRowAccumAsm(dst, x, w *float32, n, rows, kw, xStride int)
@@ -48,23 +48,20 @@ func convRowAccumQuadArch(d0, d1, d2, d3, x0, x1, x2, x3, w []float32, rows, kw,
 }
 
 //go:noescape
-func maxPool2x2RowAsm(dst, r0, r1 *float32, n, clamp int)
+func maxPoolRowAsm(dst, src *float32, n, ld, kh, kw, sw int)
 
 //go:noescape
 func reluAsm(p *float32, n int)
 
-// maxPool2x2Arch runs ⌊n/8⌋ eight-wide blocks of the pool row when the
-// vector path is enabled; the caller finishes the remainder. Compare+blend
-// (not VMAXPS) keeps the scalar tie rule, so results never change.
-func maxPool2x2Arch(dst, r0, r1 []float32, clamp bool) bool {
+// maxPoolRowArch runs ⌊len(dst)/8⌋ eight-wide blocks of the pool row when
+// the vector path is enabled; the caller finishes the remainder.
+// Compare+blend (not VMAXPS) keeps the scalar tie rule, so results never
+// change. MaxPoolRow has checked that src covers every element read.
+func maxPoolRowArch(dst, src []float32, ld, kh, kw, sw int) bool {
 	if !useFMA {
 		return false
 	}
-	c := 0
-	if clamp {
-		c = 1
-	}
-	maxPool2x2RowAsm(&dst[0], &r0[0], &r1[0], len(dst), c)
+	maxPoolRowAsm(&dst[0], &src[0], len(dst), ld, kh, kw, sw)
 	return true
 }
 
@@ -119,11 +116,12 @@ func detectFMA() bool {
 // 8×8 product of the packed A panel and eight columns of b (row stride
 // ldb: 8 for a packed panel, the operand's leading dimension when read in
 // place) written into the first rows rows of c (row stride ldc) in the
-// given write-back mode. It is only reachable when T is float32 (tileDims
-// yields an 8-tile solely for float32 with useFMA set), so the unsafe
-// reinterpretation is sound. The reslices bound every byte the assembly
-// touches, so a bad stride panics here instead of corrupting memory.
-func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mode int, alpha, beta T, bias []T) {
+// given write-back mode, clamped by ReLU when relu is set. It is only
+// reachable when T is float32 (tileDims yields an 8-tile solely for
+// float32 with useFMA set), so the unsafe reinterpretation is sound. The
+// reslices bound every byte the assembly touches, so a bad stride panics
+// here instead of corrupting memory.
+func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mode int, alpha, beta T, bias []T, relu bool) {
 	aPanel = aPanel[:kcEff*8]
 	b = b[:(kcEff-1)*ldb+8]
 	c = c[:(rows-1)*ldc+8]
@@ -131,9 +129,13 @@ func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mo
 	if mode == wbBias {
 		bp = (*float32)(unsafe.Pointer(&bias[:rows][0]))
 	}
+	r := 0
+	if relu {
+		r = 1
+	}
 	tileKernelAsm(kcEff,
 		(*float32)(unsafe.Pointer(&aPanel[0])),
 		(*float32)(unsafe.Pointer(&b[0])), ldb,
 		(*float32)(unsafe.Pointer(&c[0])), ldc, rows, mode,
-		float32(alpha), float32(beta), bp)
+		float32(alpha), float32(beta), bp, r)
 }

@@ -27,18 +27,24 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	RET
 
 // The tile kernel's epilogue, one macro per write-back mode. Each folds
-// the alpha-scaled accumulator row acc into the C row at DX, stores it with
-// one vector store, steps DX by the C row stride (R10 bytes), and leaves
-// for tdone once R9 rows are written. The roundings are those of the
-// scalar gemm.writeBack loops: alpha·acc, then one add.
+// the alpha-scaled accumulator row acc into the C row at DX, clamps it
+// from below at the floor in Y13, stores it with one vector store, steps
+// DX by the C row stride (R10 bytes), and leaves for tdone once R9 rows
+// are written. The roundings are those of the scalar gemm.writeBack loops:
+// alpha·acc, then one add. VMAXPS returns its second source on ties and
+// unordered inputs, so with the floor as the first source a -Inf floor
+// passes every value through bit for bit and a +0 floor is exactly the
+// scalar ReLU `if v < 0 { v = 0 }` (-0 and NaN survive).
 #define TILE_ACCUMULATE(acc) \
 	VADDPS  (DX), acc, acc; \
+	VMAXPS  acc, Y13, acc; \
 	VMOVUPS acc, (DX); \
 	ADDQ    R10, DX; \
 	DECQ    R9; \
 	JZ      tdone
 
 #define TILE_OVERWRITE(acc) \
+	VMAXPS  acc, Y13, acc; \
 	VMOVUPS acc, (DX); \
 	ADDQ    R10, DX; \
 	DECQ    R9; \
@@ -47,6 +53,7 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 #define TILE_BETA(acc) \
 	VMULPS  (DX), Y15, Y9; \
 	VADDPS  Y9, acc, acc; \
+	VMAXPS  acc, Y13, acc; \
 	VMOVUPS acc, (DX); \
 	ADDQ    R10, DX; \
 	DECQ    R9; \
@@ -55,6 +62,7 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 #define TILE_BIAS(acc) \
 	VBROADCASTSS (R12), Y9; \
 	VADDPS       Y9, acc, acc; \
+	VMAXPS       acc, Y13, acc; \
 	VMOVUPS      acc, (DX); \
 	ADDQ         $4, R12; \
 	ADDQ         R10, DX; \
@@ -82,7 +90,7 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	VBROADCASTSS (off+28)(SI), bb; \
 	VFMADD231PS  brow, bb, Y7
 
-// func tileKernelAsm(k int, a, b *float32, ldb int, c *float32, ldc, rows, mode int, alpha, beta float32, bias *float32)
+// func tileKernelAsm(k int, a, b *float32, ldb int, c *float32, ldc, rows, mode int, alpha, beta float32, bias *float32, relu int)
 //
 // The one float32 GEMM tile: acc[i][j] = Σ_p a[p*8+i] · b[p*ldb+j] over an
 // 8-row × 8-column tile, accumulated in Y0–Y7 (one output row each) with
@@ -91,9 +99,11 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 // 0 accumulate C += alpha·acc, 1 overwrite C = alpha·acc, 2 beta
 // C = alpha·acc + beta·C, 3 bias C = alpha·acc + bias[i]. a is an MR=8
 // packed A panel; b is either a packed NR=8 panel (ldb = 8) or the
-// row-major B operand read in place (ldb = its leading dimension). The
-// k loop is unrolled by two. k and rows must be >= 1, rows <= 8.
-TEXT ·tileKernelAsm(SB), NOSPLIT, $0-80
+// row-major B operand read in place (ldb = its leading dimension). With
+// relu != 0 every stored value is then clamped to max(+0, v), the scalar
+// ReLU; the caller sets it only for a tile's final KC slice. The k loop is
+// unrolled by two. k and rows must be >= 1, rows <= 8.
+TEXT ·tileKernelAsm(SB), NOSPLIT, $0-88
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
@@ -134,8 +144,21 @@ tstore:
 	MOVQ         rows+48(FP), R9
 	MOVQ         mode+56(FP), R11
 	MOVQ         bias+72(FP), R12
-	VBROADCASTSS alpha+64(FP), Y14
 	VBROADCASTSS beta+68(FP), Y15
+
+	// Floor for the store clamp: +0 applies ReLU, -Inf is the identity.
+	VXORPS       Y13, Y13, Y13
+	CMPQ         relu+80(FP), $0
+	JNE          talpha
+	VBROADCASTSS negInf<>(SB), Y13
+
+talpha:
+	// alpha·acc is exact for alpha == 1 (an FMA result is never a
+	// signaling NaN), so the multiply is skipped for plain products.
+	MOVL alpha+64(FP), AX
+	CMPL AX, $0x3F800000 // float32 1.0 bit pattern
+	JEQ  tmode
+	VBROADCASTSS alpha+64(FP), Y14
 	VMULPS       Y14, Y0, Y0
 	VMULPS       Y14, Y1, Y1
 	VMULPS       Y14, Y2, Y2
@@ -145,6 +168,7 @@ tstore:
 	VMULPS       Y14, Y6, Y6
 	VMULPS       Y14, Y7, Y7
 
+tmode:
 	CMPQ R11, $1
 	JEQ  toverwrite
 	CMPQ R11, $2
@@ -314,71 +338,110 @@ crdone:
 	VZEROUPPER
 	RET
 
-// func maxPool2x2RowAsm(dst, r0, r1 *float32, n, clamp int)
+// func maxPoolRowAsm(dst, src *float32, n, ld, kh, kw, sw int)
 //
-// dst[i] = max(-Inf, r0[2i], r0[2i+1], r1[2i], r1[2i+1]) with the scalar
-// first-wins tie rule: each candidate replaces the accumulator only when
-// strictly greater (ordered compare, so NaN never replaces), implemented
-// as VCMPPS(GT_OQ)+VBLENDVPS rather than VMAXPS, whose tie rule would
-// flip -0/+0 results. With clamp != 0 a final acc < 0 → +0 select is
-// applied (ReLU absorbed into the pool read). Processes ⌊n/8⌋ blocks of
-// eight outputs; the caller handles the remainder. n must be >= 8.
-TEXT ·maxPool2x2RowAsm(SB), NOSPLIT, $0-40
+// One output row of a kh×kw max pool with column stride sw:
+// dst[i] = max(-Inf, src[r·ld + i·sw + q]) over r < kh, q < kw, visiting
+// candidates in (r, q) row-major order with the scalar first-wins tie
+// rule: a candidate replaces the accumulator only when strictly greater
+// (ordered compare, so NaN never replaces), implemented as
+// VCMPPS(GT_OQ)+VBLENDVPS rather than VMAXPS, whose tie rule would flip
+// -0/+0 results. Eight outputs per block; a candidate's eight lanes are
+// one load for sw = 1, two overlapping loads compacted by VPERMPS for
+// sw = 2, and a gather for any wider stride. No load reaches past the
+// last element a block reads. Processes ⌊n/8⌋ blocks; the caller handles
+// the remainder. n must be >= 8; kh, kw, sw >= 1.
+TEXT ·maxPoolRowAsm(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DX
-	MOVQ r0+8(FP), SI
-	MOVQ r1+16(FP), DI
-	MOVQ n+24(FP), CX
-	MOVQ clamp+32(FP), R8
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ ld+24(FP), R8
+	SHLQ $2, R8        // row stride in bytes
+	MOVQ kh+32(FP), R9
+	MOVQ kw+40(FP), R10
+	MOVQ sw+48(FP), R11
 
-	MOVQ         $0xFF800000, AX // float32 -Inf bit pattern
-	MOVQ         AX, X7
-	VBROADCASTSS X7, Y7
-	VXORPS       Y6, Y6, Y6
+	VBROADCASTSS negInf<>(SB), Y7
+	VMOVDQU      mpPerm<>(SB), Y6 // even lanes of a load, then its odd lanes
+	VMOVQ        R11, X5
+	VPBROADCASTD X5, Y5
+	VPMULLD      mpIota<>(SB), Y5, Y5 // gather offsets i·sw
+	MOVQ         R11, BX
+	SHLQ         $5, BX              // source step per block: 8·sw floats
 
 mpblock:
-	// Deinterleave 16 consecutive floats per row into even/odd columns:
-	// shuffle picks (0,2) of each 128-bit lane from both halves, then a
-	// quadword permute restores ascending order across lanes.
-	VMOVUPS (SI), Y0
-	VMOVUPS 32(SI), Y1
-	VSHUFPS $0x88, Y1, Y0, Y2
-	VPERMPD $0xD8, Y2, Y2
-	VSHUFPS $0xDD, Y1, Y0, Y3
-	VPERMPD $0xD8, Y3, Y3
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VSHUFPS $0x88, Y1, Y0, Y4
-	VPERMPD $0xD8, Y4, Y4
-	VSHUFPS $0xDD, Y1, Y0, Y5
-	VPERMPD $0xD8, Y5, Y5
+	VMOVAPS Y7, Y0 // acc = -Inf
+	MOVQ    SI, R12
+	MOVQ    R9, R13
 
-	// acc = -Inf, then candidates in the scalar visiting order:
-	// r0 even, r0 odd, r1 even, r1 odd.
-	VMOVAPS   Y7, Y0
+mprow:
+	MOVQ R12, R14
+	MOVQ R10, R15
+
+mpcol:
+	CMPQ    R11, $2
+	JEQ     mpstride2
+	JGT     mpgather
+	VMOVUPS (R14), Y2
+	JMP     mpmax
+
+mpstride2:
+	// Lanes 0–3 are elements 0,2,4,6 of the load at the candidate and
+	// lanes 4–7 elements 1,3,5,7 of the load seven floats on (source
+	// offsets 8..14), so the pair reads exactly offsets 0..14.
+	VMOVUPS   (R14), Y2
+	VMOVUPS   28(R14), Y3
+	VPERMPS   Y2, Y6, Y2
+	VPERMPS   Y3, Y6, Y3
+	VBLENDPS  $0xF0, Y3, Y2, Y2
+	JMP       mpmax
+
+mpgather:
+	VPCMPEQD   Y4, Y4, Y4
+	VGATHERDPS Y4, (R14)(Y5*4), Y2
+
+mpmax:
 	VCMPPS    $0x1E, Y0, Y2, Y1
 	VBLENDVPS Y1, Y2, Y0, Y0
-	VCMPPS    $0x1E, Y0, Y3, Y1
-	VBLENDVPS Y1, Y3, Y0, Y0
-	VCMPPS    $0x1E, Y0, Y4, Y1
-	VBLENDVPS Y1, Y4, Y0, Y0
-	VCMPPS    $0x1E, Y0, Y5, Y1
-	VBLENDVPS Y1, Y5, Y0, Y0
+	ADDQ      $4, R14
+	DECQ      R15
+	JNE       mpcol
 
-	TESTQ R8, R8
-	JZ    mpstore
-	VCMPPS    $0x11, Y6, Y0, Y1
-	VBLENDVPS Y1, Y6, Y0, Y0
+	ADDQ R8, R12
+	DECQ R13
+	JNE  mprow
 
-mpstore:
 	VMOVUPS Y0, (DX)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
 	ADDQ    $32, DX
+	ADDQ    BX, SI
 	SUBQ    $8, CX
 	CMPQ    CX, $8
 	JGE     mpblock
 	VZEROUPPER
 	RET
+
+DATA negInf<>+0(SB)/4, $0xFF800000 // float32 -Inf
+GLOBL negInf<>(SB), RODATA|NOPTR, $4
+
+DATA mpPerm<>+0(SB)/4, $0
+DATA mpPerm<>+4(SB)/4, $2
+DATA mpPerm<>+8(SB)/4, $4
+DATA mpPerm<>+12(SB)/4, $6
+DATA mpPerm<>+16(SB)/4, $1
+DATA mpPerm<>+20(SB)/4, $3
+DATA mpPerm<>+24(SB)/4, $5
+DATA mpPerm<>+28(SB)/4, $7
+GLOBL mpPerm<>(SB), RODATA|NOPTR, $32
+
+DATA mpIota<>+0(SB)/4, $0
+DATA mpIota<>+4(SB)/4, $1
+DATA mpIota<>+8(SB)/4, $2
+DATA mpIota<>+12(SB)/4, $3
+DATA mpIota<>+16(SB)/4, $4
+DATA mpIota<>+20(SB)/4, $5
+DATA mpIota<>+24(SB)/4, $6
+DATA mpIota<>+28(SB)/4, $7
+GLOBL mpIota<>(SB), RODATA|NOPTR, $32
 
 // func convRowAccumQuadAsm(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, n, rows, kw, xStride int)
 //
@@ -572,7 +635,9 @@ qdone:
 // p[i] = (0 > p[i]) ? +0 : p[i] — exactly the scalar `if v < 0 { v = 0 }`:
 // MAXPS with +0 as the first operand returns the second on ties and
 // unordered, so -0 and NaN pass through unchanged while negatives become
-// +0. n must be >= 1.
+// +0. The scalar tail stays VEX-encoded (VMOVSS/VMAXSS): a legacy-SSE
+// instruction after the 256-bit loop would pay an AVX→SSE transition.
+// n must be >= 1.
 TEXT ·reluAsm(SB), NOSPLIT, $0-16
 	MOVQ   p+0(FP), SI
 	MOVQ   n+8(FP), CX
@@ -592,13 +657,12 @@ rlblock:
 rltail:
 	TESTQ CX, CX
 	JZ    rldone
-	MOVSS (SI), X0
-	XORPS X2, X2
-	MAXSS X0, X2
-	MOVSS X2, (SI)
-	ADDQ  $4, SI
-	DECQ  CX
-	JMP   rltail
+	VMOVSS (SI), X0
+	VMAXSS X0, X1, X0
+	VMOVSS X0, (SI)
+	ADDQ   $4, SI
+	DECQ   CX
+	JMP    rltail
 
 rldone:
 	VZEROUPPER

@@ -12,7 +12,7 @@ func simdAvailable() bool { return false }
 
 // tileKernel is unreachable when useFMA is false; it exists so the generic
 // macro-kernel compiles on every architecture.
-func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mode int, alpha, beta T, bias []T) {
+func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mode int, alpha, beta T, bias []T, relu bool) {
 	panic("gemm: 8×8 tile kernel invoked without AVX2 support")
 }
 
@@ -28,8 +28,8 @@ func convRowAccumQuadArch(d0, d1, d2, d3, x0, x1, x2, x3, w []float32, rows, kw,
 	return false
 }
 
-// maxPool2x2Arch reports no vector pool kernel off amd64.
-func maxPool2x2Arch(dst, r0, r1 []float32, clamp bool) bool { return false }
+// maxPoolRowArch reports no vector pool kernel off amd64.
+func maxPoolRowArch(dst, src []float32, ld, kh, kw, sw int) bool { return false }
 
 // reluArch reports no vector clamp kernel off amd64.
 func reluArch(v []float32) bool { return false }

@@ -10,45 +10,41 @@ var negInf32 = float32(math.Inf(-1))
 // package owns the vector dispatch (useFMA / TEMCO_NOSIMD / SetSIMD) and
 // the amd64 assembly they share a file with.
 
-// MaxPool2x2Row computes one output row of a 2×2/stride-2 max pool:
+// MaxPoolRow computes one output row of a kh×kw max pool with column
+// stride sw over a source whose rows are ld elements apart:
 //
-//	dst[i] = max(-Inf, r0[2i], r0[2i+1], r1[2i], r1[2i+1])
+//	dst[i] = max(-Inf, src[r·ld + i·sw + q])  for r < kh, q < kw
 //
-// with the first-wins tie rule of a scalar `if v > acc { acc = v }` chain
-// (a NaN candidate never replaces the accumulator, and on -0/+0 ties the
-// earlier value survives). With clamp set, a final `acc < 0 → +0` select
-// absorbs a ReLU into the pool read. The vector path reproduces these
-// semantics with ordered compare+blend, so it is bit-identical to the
-// portable loop on every input.
-func MaxPool2x2Row(dst, r0, r1 []float32, clamp bool) {
+// visiting the candidates in (r, q) row-major order with the first-wins
+// tie rule of a scalar `if v > acc { acc = v }` chain: a NaN candidate
+// never replaces the accumulator, and on -0/+0 ties the earlier value
+// survives. Padding must already hold -Inf, which never wins. The vector
+// path reproduces these semantics with ordered compare+blend, so it is
+// bit-identical to the portable loop on every input and every window.
+// src must hold (kh-1)·ld + (len(dst)-1)·sw + kw elements.
+func MaxPoolRow(dst, src []float32, ld, kh, kw, sw int) {
 	n := len(dst)
 	if n == 0 {
 		return
 	}
-	if 2*n > len(r0) || 2*n > len(r1) {
-		panic("gemm: MaxPool2x2Row source rows too short")
+	if kh < 1 || kw < 1 || sw < 1 || ld < 0 {
+		panic("gemm: MaxPoolRow: bad window")
+	}
+	if len(src) < (kh-1)*ld+(n-1)*sw+kw {
+		panic("gemm: MaxPoolRow source too short")
 	}
 	i := 0
-	if n >= 8 && maxPool2x2Arch(dst, r0, r1, clamp) {
+	if n >= 8 && maxPoolRowArch(dst, src, ld, kh, kw, sw) {
 		i = n &^ 7
 	}
 	for ; i < n; i++ {
-		p := 2 * i
 		acc := negInf32
-		if v := r0[p]; v > acc {
-			acc = v
-		}
-		if v := r0[p+1]; v > acc {
-			acc = v
-		}
-		if v := r1[p]; v > acc {
-			acc = v
-		}
-		if v := r1[p+1]; v > acc {
-			acc = v
-		}
-		if clamp && acc < 0 {
-			acc = 0
+		for r := 0; r < kh; r++ {
+			for _, v := range src[r*ld+i*sw:][:kw] {
+				if v > acc {
+					acc = v
+				}
+			}
 		}
 		dst[i] = acc
 	}

@@ -44,24 +44,27 @@ func PackA(m, k int, a []float32, lda int) *PackedA {
 // B is k×n row-major (ldb), C is m×n (ldc). Parallel over column strips,
 // bit-identical to Gemm on the same operands.
 func GemmPackedA(n int, alpha float32, pa *PackedA, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmPackedA(true, n, alpha, pa, b, ldb, beta, nil, c, ldc)
+	gemmPackedA(true, n, alpha, pa, b, ldb, beta, nil, false, c, ldc)
 }
 
 // GemmPackedABias computes C = A·B + bias with A supplied pre-packed: bias
 // (m values, nil for none) is added to every element of its row as the
 // product is written, so C is never read. Bit-identical to GemmPackedA with
-// beta = 1 over a C pre-filled with the bias. Parallel over column strips.
-func GemmPackedABias(n int, pa *PackedA, b []float32, ldb int, bias, c []float32, ldc int) {
-	gemmPackedA(true, n, 1, pa, b, ldb, 0, bias, c, ldc)
+// beta = 1 over a C pre-filled with the bias. With relu set each element is
+// then clamped by the scalar ReLU rule (`if v < 0 { v = 0 }`) in the same
+// store, bit-identical to calling ReLU on C afterwards. Parallel over
+// column strips.
+func GemmPackedABias(n int, pa *PackedA, b []float32, ldb int, bias, c []float32, ldc int, relu bool) {
+	gemmPackedA(true, n, 1, pa, b, ldb, 0, bias, relu, c, ldc)
 }
 
 // SerialPackedABias is GemmPackedABias restricted to the calling goroutine
 // (for callers already inside a parallelFor region, like the fused kernel).
-func SerialPackedABias(n int, pa *PackedA, b []float32, ldb int, bias, c []float32, ldc int) {
-	gemmPackedA(false, n, 1, pa, b, ldb, 0, bias, c, ldc)
+func SerialPackedABias(n int, pa *PackedA, b []float32, ldb int, bias, c []float32, ldc int, relu bool) {
+	gemmPackedA(false, n, 1, pa, b, ldb, 0, bias, relu, c, ldc)
 }
 
-func gemmPackedA(parallel bool, n int, alpha float32, pa *PackedA, b []float32, ldb int, beta float32, bias, c []float32, ldc int) {
+func gemmPackedA(parallel bool, n int, alpha float32, pa *PackedA, b []float32, ldb int, beta float32, bias []float32, relu bool, c []float32, ldc int) {
 	if pa == nil {
 		panic("gemm: nil PackedA")
 	}
@@ -88,9 +91,13 @@ func gemmPackedA(parallel bool, n int, alpha float32, pa *PackedA, b []float32, 
 	if k == 0 || alpha == 0 {
 		if bias != nil {
 			for i := 0; i < m; i++ {
+				v := bias[i]
+				if relu && v < 0 {
+					v = 0
+				}
 				row := c[i*ldc : i*ldc+n]
 				for j := range row {
-					row[j] = bias[i]
+					row[j] = v
 				}
 			}
 			return
@@ -98,7 +105,7 @@ func gemmPackedA(parallel bool, n int, alpha float32, pa *PackedA, b []float32, 
 		scaleC(m, n, beta, c, ldc)
 		return
 	}
-	gemmCore(parallel, false, m, n, k, mr, nr, alpha, pa.buf, b, ldb, nil, beta, bias, c, ldc)
+	gemmCore(parallel, false, m, n, k, mr, nr, alpha, pa.buf, b, ldb, nil, beta, bias, relu, c, ldc)
 }
 
 // PackedB is a column operand packed once into the full-width B-panel
@@ -196,5 +203,5 @@ func gemmPrePacked(parallel, wantTrans bool, m int, alpha float32, a []float32, 
 	defer putWS(apPtr)
 	ap := *apPtr
 	packA(ap, a, lda, m, k, mr, false)
-	gemmCore(parallel, false, m, n, k, mr, nr, alpha, ap, nil, 0, pb.buf, beta, nil, c, ldc)
+	gemmCore(parallel, false, m, n, k, mr, nr, alpha, ap, nil, 0, pb.buf, beta, nil, false, c, ldc)
 }

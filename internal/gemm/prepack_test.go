@@ -38,7 +38,7 @@ func TestPrePackedBitIdentical(t *testing.T) {
 						workers, m, n, k, i, got[i], want[i])
 				}
 			}
-			SerialPackedABias(n, pa, b32, n, nil, got, n)
+			SerialPackedABias(n, pa, b32, n, nil, got, n, false)
 			for i := range want {
 				if want[i] != got[i] {
 					t.Fatalf("workers=%d m=%d n=%d k=%d: SerialPackedABias differs at %d", workers, m, n, k, i)
@@ -122,8 +122,8 @@ func TestBiasWriteBackBitIdentical(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					SetWorkers(workers)
 					for name, run := range map[string]func(c []float32){
-						"GemmPackedABias":   func(c []float32) { GemmPackedABias(n, pa, b, n, bias, c, n) },
-						"SerialPackedABias": func(c []float32) { SerialPackedABias(n, pa, b, n, bias, c, n) },
+						"GemmPackedABias":   func(c []float32) { GemmPackedABias(n, pa, b, n, bias, c, n, false) },
+						"SerialPackedABias": func(c []float32) { SerialPackedABias(n, pa, b, n, bias, c, n, false) },
 					} {
 						got := make([]float32, m*n)
 						for i := range got {

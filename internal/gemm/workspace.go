@@ -73,29 +73,13 @@ func (ps *poolSet[T]) put(p *[]T) {
 	ps.mu.Unlock()
 }
 
-var (
-	f32Pool  poolSet[float32]
-	i32Pool  poolSet[int32]
-	boolPool poolSet[bool]
-)
+var f32Pool poolSet[float32]
 
 // GetF32 borrows a float32 scratch slice of length n (uninitialized).
 func GetF32(n int) *[]float32 { return f32Pool.get(n) }
 
 // PutF32 returns a slice borrowed with GetF32 to the arena.
 func PutF32(p *[]float32) { f32Pool.put(p) }
-
-// GetI32 borrows an int32 scratch slice of length n (uninitialized).
-func GetI32(n int) *[]int32 { return i32Pool.get(n) }
-
-// PutI32 returns a slice borrowed with GetI32 to the arena.
-func PutI32(p *[]int32) { i32Pool.put(p) }
-
-// GetBool borrows a bool scratch slice of length n (uninitialized).
-func GetBool(n int) *[]bool { return boolPool.get(n) }
-
-// PutBool returns a slice borrowed with GetBool to the arena.
-func PutBool(p *[]bool) { boolPool.put(p) }
 
 // getWS borrows the generic gemm core's panels. float32 panels come from
 // the arena; float64 panels serve only the setup-time linalg products, so

@@ -35,20 +35,16 @@ func actFromKind(k ir.Kind) actKind {
 // exactly these sizes, and TestFusedWorkspaceMatchesScratch pins the two
 // together.
 //
-//	offs   int32  gather offsets into the input plane (-1 = padding)
-//	valid  bool   per-position padding mask
 //	xbuf   f32    packed input region [InC × regP] for the lconv GEMM
 //	mid    f32    restored region [MidC × regP]
 //	pooled f32    pooled tile [MidC × T²] (pool layers only)
 //	ftile  f32    fconv output tile [OutC × T²] (zero for tail fusion)
-func fusedScratchLens(a *ir.FusedAttrs) (offs, valid, xbuf, mid, pooled, ftile int) {
+func fusedScratchLens(a *ir.FusedAttrs) (xbuf, mid, pooled, ftile int) {
 	kh, kw, sh, sw := 1, 1, 1, 1
 	if a.Pool != nil {
 		kh, kw, sh, sw = a.Pool.KH, a.Pool.KW, a.Pool.SH, a.Pool.SW
 	}
 	regP := ((FusedTile-1)*sh + kh) * ((FusedTile-1)*sw + kw)
-	offs = regP
-	valid = regP
 	xbuf = a.InC * regP
 	mid = a.MidC * regP
 	if a.Pool != nil {
@@ -69,8 +65,11 @@ func fusedScratchLens(a *ir.FusedAttrs) (offs, valid, xbuf, mid, pooled, ftile i
 //  1. gathers the pre-pool input region the tile needs into a packed
 //     buffer and expands it to C' channels with one GEMM per diagonal
 //     block of the lconv (a 1×1 channel expansion; one block unless it is
-//     a merged lconv) on the blocked micro-kernel, bias added as it writes,
-//  2. applies the activation in place (padding positions forced to zero),
+//     a merged lconv) on the blocked micro-kernel, bias added and ReLU
+//     applied as the GEMM stores each tile,
+//  2. applies SiLU or Sigmoid in one pass over the restored region (ReLU
+//     and identity cost no pass of their own), then overwrites the
+//     region's padding positions with the pool's identity,
 //  3. pools the region down to the tile (when a pool layer is fused), and
 //  4. reduces back to OutC channels with a second GEMM (fconv).
 //
@@ -99,7 +98,7 @@ func FusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAtt
 
 	tilesH := (outH + FusedTile - 1) / FusedTile
 	tilesW := (outW + FusedTile - 1) / FusedTile
-	offsLen, validLen, xbufLen, midLen, pooledLen, ftileLen := fusedScratchLens(a)
+	xbufLen, midLen, pooledLen, ftileLen := fusedScratchLens(a)
 
 	tasks := n * tilesH * tilesW
 	if ctx.Done() == nil && (Workers <= 1 || tasks <= 1) {
@@ -112,8 +111,7 @@ func FusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAtt
 			kh: kh, kw: kw, sh: sh, sw: sw, ph: ph, pw: pw,
 			isMax: isMax, hasPool: hasPool, act: act, area: area,
 			tilesH: tilesH, tilesW: tilesW,
-			offsLen: offsLen, validLen: validLen, xbufLen: xbufLen,
-			midLen: midLen, pooledLen: pooledLen, ftileLen: ftileLen}
+			xbufLen: xbufLen, midLen: midLen, pooledLen: pooledLen, ftileLen: ftileLen}
 		fr.run(0, tasks)
 		return nil
 	}
@@ -123,8 +121,7 @@ func FusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAtt
 		kh: kh, kw: kw, sh: sh, sw: sw, ph: ph, pw: pw,
 		isMax: isMax, hasPool: hasPool, act: act, area: area,
 		tilesH: tilesH, tilesW: tilesW,
-		offsLen: offsLen, validLen: validLen, xbufLen: xbufLen,
-		midLen: midLen, pooledLen: pooledLen, ftileLen: ftileLen}
+		xbufLen: xbufLen, midLen: midLen, pooledLen: pooledLen, ftileLen: ftileLen}
 	return parallelForCtx(ctx, tasks, fr.run)
 }
 
@@ -133,19 +130,19 @@ func FusedPlannedCtx(ctx context.Context, out, in *tensor.Tensor, a *ir.FusedAtt
 // parallelFor escape to the heap, while the serial path above calls run
 // directly on a stack-resident value.
 type fusedRun struct {
-	out, in                     *tensor.Tensor
-	a                           *ir.FusedAttrs
-	plan                        *FusedPlan // pre-packed lconv/fconv weights
-	lbias, fbias                []float32  // lconv/fconv biases, nil for none
-	inC, h, w                   int
-	outC, outH, outW            int
-	kh, kw, sh, sw, ph, pw      int
-	isMax, hasPool              bool
-	act                         actKind
-	area                        float32
-	tilesH, tilesW              int
-	offsLen, validLen, xbufLen  int
-	midLen, pooledLen, ftileLen int
+	out, in                *tensor.Tensor
+	a                      *ir.FusedAttrs
+	plan                   *FusedPlan // pre-packed lconv/fconv weights
+	lbias, fbias           []float32  // lconv/fconv biases, nil for none
+	inC, h, w              int
+	outC, outH, outW       int
+	kh, kw, sh, sw, ph, pw int
+	isMax, hasPool         bool
+	act                    actKind
+	area                   float32
+	tilesH, tilesW         int
+	xbufLen, midLen        int
+	pooledLen, ftileLen    int
 }
 
 // run processes output tiles [lo,hi). It is safe to call concurrently on
@@ -157,14 +154,18 @@ func (fr *fusedRun) run(lo, hi int) {
 	kh, kw, sh, sw, ph, pw := fr.kh, fr.kw, fr.sh, fr.sw, fr.ph, fr.pw
 	isMax, hasPool, act, area := fr.isMax, fr.hasPool, fr.act, fr.area
 	tilesH, tilesW := fr.tilesH, fr.tilesW
+	// Padding positions take the pool's identity: -Inf never wins a max,
+	// and 0 is the zero-padded average's contribution.
+	var padFill float32
+	if isMax {
+		padFill = float32(math.Inf(-1))
+	}
 
 	// Scratch is per worker chunk and pooled: this is the whole point of
 	// the fusion — O(MidC·tile) live bytes instead of O(MidC·H·W).
-	offsPtr := gemm.GetI32(fr.offsLen)
-	validPtr := gemm.GetBool(fr.validLen)
 	xbufPtr := gemm.GetF32(fr.xbufLen)
 	midPtr := gemm.GetF32(fr.midLen)
-	offs, valid, xbuf, mid := *offsPtr, *validPtr, *xbufPtr, *midPtr
+	xbuf, mid := *xbufPtr, *midPtr
 	var pooled, ftile []float32
 	var pooledPtr, ftilePtr *[]float32
 	if hasPool {
@@ -190,160 +191,97 @@ func (fr *fusedRun) run(lo, hi int) {
 		rH := (tileH-1)*sh + kh
 		rW := (tileW-1)*sw + kw
 		rP := rH * rW
+		// The in-image part of the region is the rectangle of rows
+		// [r0, r1) × columns [c0, c1); everything outside it is padding,
+		// which only a padded pool produces (border tiles).
+		r0, c0 := max(0, -rh0), max(0, -rw0)
+		r1, c1 := max(r0, min(rH, h-rh0)), max(c0, min(rW, w-rw0))
+		border := r0 > 0 || r1 < rH || c0 > 0 || c1 < rW
 
-		// Step 1: gather the input region (zeros at padding), then the
-		// lconv expands it to MidC channels; activation follows in place.
-		// Interior tiles — the common case — have a fully in-bounds region
-		// and pack with row copies; only border tiles walk the offset table.
-		allValid := rh0 >= 0 && rw0 >= 0 && rh0+rH <= h && rw0+rW <= w
-		if allValid {
-			// The generic pool below still consults the mask (scratch is
-			// reused across tasks, so it must not go stale even when every
-			// position is in bounds).
-			for p := range valid[:rP] {
-				valid[p] = true
-			}
-			for ic := 0; ic < inC; ic++ {
-				base := (bIdx*inC+ic)*h*w + rh0*w + rw0
-				row := xbuf[ic*rP : (ic+1)*rP]
-				for rr := 0; rr < rH; rr++ {
-					copy(row[rr*rW:rr*rW+rW], in.Data[base+rr*w:base+rr*w+rW])
+		// Step 1: gather the input region with row copies (zeros at
+		// padding), then the lconv expands it to MidC channels. ReLU rides
+		// on the GEMM's store, after the bias, on each tile's final write.
+		for ic := 0; ic < inC; ic++ {
+			plane := in.Data[(bIdx*inC+ic)*h*w : (bIdx*inC+ic+1)*h*w]
+			row := xbuf[ic*rP : (ic+1)*rP]
+			for rr := 0; rr < rH; rr++ {
+				dst := row[rr*rW : rr*rW+rW]
+				if rr < r0 || rr >= r1 || c0 == c1 {
+					clear(dst)
+					continue
 				}
-			}
-		} else {
-			for p := 0; p < rP; p++ {
-				ih := rh0 + p/rW
-				iw := rw0 + p%rW
-				if ih >= 0 && ih < h && iw >= 0 && iw < w {
-					valid[p] = true
-					offs[p] = int32(ih*w + iw)
-				} else {
-					valid[p] = false
-					offs[p] = -1
-				}
-			}
-			for ic := 0; ic < inC; ic++ {
-				base := (bIdx*inC + ic) * h * w
-				row := xbuf[ic*rP : (ic+1)*rP]
-				for p, o := range offs[:rP] {
-					if o >= 0 {
-						row[p] = in.Data[base+int(o)]
-					} else {
-						row[p] = 0
-					}
-				}
+				clear(dst[:c0])
+				src := (rh0+rr)*w + rw0
+				copy(dst[c0:c1], plane[src+c0:src+c1])
+				clear(dst[c1:])
 			}
 		}
 		// One GEMM per diagonal block: each reads its rows of xbuf and
 		// writes its rows of mid.
-		mulBlocks(true, fr.plan.lw, rP, xbuf[:inC*rP], rP, fr.lbias, mid[:a.MidC*rP], rP)
+		mulBlocks(true, fr.plan.lw, rP, xbuf[:inC*rP], rP, fr.lbias, mid[:a.MidC*rP], rP, act == actReLU)
 
-		// Step 2: activation over valid positions, zero at padding (a
-		// padded position must not contribute applyAct(bias) downstream).
-		// Two cases skip the padding mask entirely: interior tiles have no
-		// padded positions, and max pooling never reads them (its own mask
-		// check below skips invalid positions, so their values are dead).
-		// The specialized loops apply the same scalar math in the same
-		// order as applyAct, so outputs are bit-identical on every path.
-		// When the unrolled max-pool fast path below can absorb the
-		// activation (ReLU or identity), the whole pass is skipped: ReLU is
-		// itself a max, so clamping at the single read site computes the
-		// same window maximum as clamping every element first.
-		fastPool := hasPool && isMax && allValid && kh == 2 && kw == 2 && sh == 2 && sw == 2
-		actInPool := fastPool && (act == actReLU || act == actIdentity)
-		if actInPool {
-			// Activation handled inside the pool read below.
-		} else if allValid || (hasPool && isMax) {
-			switch act {
-			case actIdentity:
-				// Nothing to apply.
-			case actReLU:
-				for mc := 0; mc < a.MidC; mc++ {
-					gemm.ReLU(mid[mc*rP : (mc+1)*rP])
-				}
-			default:
-				for mc := 0; mc < a.MidC; mc++ {
-					row := mid[mc*rP : (mc+1)*rP]
-					for p, v := range row {
-						row[p] = applyAct(act, v)
-					}
-				}
-			}
-		} else {
+		// Step 2: SiLU and Sigmoid take one pass over the region, in the
+		// scalar math of applyAct (the standalone kernels' math); ReLU was
+		// applied by the store above and identity needs nothing. Padding
+		// positions then hold act(bias); they are overwritten with the
+		// pool's identity so they never contribute: -Inf never wins a max,
+		// 0 adds nothing to the zero-padded average.
+		if act == actSiLU || act == actSigmoid {
 			for mc := 0; mc < a.MidC; mc++ {
 				row := mid[mc*rP : (mc+1)*rP]
-				for p := 0; p < rP; p++ {
-					if valid[p] {
-						row[p] = applyAct(act, row[p])
-					} else {
-						row[p] = 0
+				for p, v := range row {
+					row[p] = applyAct(act, v)
+				}
+			}
+		}
+		if border {
+			for mc := 0; mc < a.MidC; mc++ {
+				row := mid[mc*rP : (mc+1)*rP]
+				for rr := 0; rr < rH; rr++ {
+					seg := row[rr*rW : rr*rW+rW]
+					if rr < r0 || rr >= r1 {
+						fill(seg, padFill)
+						continue
 					}
+					fill(seg[:c0], padFill)
+					fill(seg[c1:], padFill)
 				}
 			}
 		}
 
 		// Step 3: pool the region down to the tile. fsrc is what fconv
-		// consumes: the pooled tile (row stride T²... laid out T per row)
-		// or, with no pool, the region itself (identical coordinates).
+		// consumes: the pooled tile (T values per row, T rows apart) or,
+		// with no pool, the region itself (identical coordinates).
 		fsrc := mid
 		fCols := rP
 		fld := rP
 		rowStride := rW
-		if fastPool {
-			// Unrolled fast path for the ubiquitous 2×2/2 max pool on an
-			// interior tile: the four candidates are compared in the exact
-			// row-major order of the generic loop below, starting from the
-			// same -Inf identity, so the result is bit-identical. With
-			// actInPool the window maximum of the raw values is clamped
-			// once at the end — ReLU commutes with max exactly.
-			clamp := actInPool && act == actReLU
+		if hasPool {
 			for mc := 0; mc < a.MidC; mc++ {
-				src := mid[mc*rP:]
 				dst := pooled[mc*FusedTile*FusedTile:]
 				for ty := 0; ty < tileH; ty++ {
-					srow := src[ty*2*rW:]
-					gemm.MaxPool2x2Row(dst[ty*FusedTile:ty*FusedTile+tileW],
-						srow[:rW], srow[rW:2*rW], clamp)
-				}
-			}
-			fsrc = pooled
-			fCols = tileH * FusedTile
-			fld = FusedTile * FusedTile
-			rowStride = FusedTile
-		} else if hasPool {
-			for mc := 0; mc < a.MidC; mc++ {
-				src := mid[mc*rP:]
-				dst := pooled[mc*FusedTile*FusedTile:]
-				for ty := 0; ty < tileH; ty++ {
+					src := mid[mc*rP+ty*sh*rW:]
+					drow := dst[ty*FusedTile : (ty+1)*FusedTile]
+					if isMax {
+						// All T columns, so a ragged tile takes the same
+						// vector path. Columns past tileW read on into
+						// the region's next rows; a ragged region is
+						// narrower than the regP-sized one mid holds per
+						// channel, so the reads stay inside mid, and
+						// fconv's results for them are never copied out.
+						gemm.MaxPoolRow(drow, src, rW, kh, kw, sw)
+						continue
+					}
+					// Zero-padded average (padding contributes 0, the
+					// divisor is the full area) — matches AvgPool.
 					for tx := 0; tx < tileW; tx++ {
 						var acc float32
-						if isMax {
-							acc = float32(math.Inf(-1))
-						}
 						for r := 0; r < kh; r++ {
-							py := ty*sh + r
-							for q := 0; q < kw; q++ {
-								px := tx*sw + q
-								p := py*rW + px
-								if isMax {
-									if !valid[p] {
-										continue
-									}
-									if v := src[p]; v > acc {
-										acc = v
-									}
-								} else {
-									// Zero-padded average (padding
-									// contributes 0, divisor is full
-									// area) — matches AvgPool.
-									acc += src[p]
-								}
+							for _, v := range src[r*rW+tx*sw:][:kw] {
+								acc += v
 							}
 						}
-						if !isMax {
-							acc /= area
-						}
-						dst[ty*FusedTile+tx] = acc
+						drow[tx] = acc / area
 					}
 				}
 			}
@@ -366,7 +304,7 @@ func (fr *fusedRun) run(lo, hi int) {
 			}
 			continue
 		}
-		mulBlocks(true, fr.plan.fw, fCols, fsrc, fld, fr.fbias, ftile, fld)
+		mulBlocks(true, fr.plan.fw, fCols, fsrc, fld, fr.fbias, ftile, fld, false)
 		for oc := 0; oc < outC; oc++ {
 			src := ftile[oc*fld:]
 			outPlane := (bIdx*outC + oc) * outH * outW
@@ -376,8 +314,6 @@ func (fr *fusedRun) run(lo, hi int) {
 			}
 		}
 	}
-	gemm.PutI32(offsPtr)
-	gemm.PutBool(validPtr)
 	gemm.PutF32(xbufPtr)
 	gemm.PutF32(midPtr)
 	if pooledPtr != nil {
@@ -388,15 +324,21 @@ func (fr *fusedRun) run(lo, hi int) {
 	}
 }
 
+// fill sets every element of s to v.
+func fill(s []float32, v float32) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
 // FusedWorkspaceBytes returns the total scratch footprint of one fused
 // invocation: the per-worker arena buffers (fusedScratchLens) times the
 // worker count. The memory planner charges this (small, constant in H·W)
 // amount instead of the two full-size intermediates the unfused sequence
 // allocates.
 func FusedWorkspaceBytes(a *ir.FusedAttrs) int64 {
-	offs, valid, xbuf, mid, pooled, ftile := fusedScratchLens(a)
-	perWorker := int64(offs)*4 + int64(valid) + int64(xbuf+mid+pooled+ftile)*4
-	return perWorker * int64(Workers)
+	xbuf, mid, pooled, ftile := fusedScratchLens(a)
+	return int64(xbuf+mid+pooled+ftile) * 4 * int64(Workers)
 }
 
 func min(a, b int) int {

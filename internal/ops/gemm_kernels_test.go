@@ -145,7 +145,7 @@ func TestPlanConvDispatch(t *testing.T) {
 func TestFusedWorkspaceMatchesScratch(t *testing.T) {
 	r := tensor.NewRNG(14)
 	cases := []*ir.FusedAttrs{
-		// Pool + fconv: all six buffers live.
+		// Pool + fconv: all four buffers live.
 		{InC: 4, MidC: 32, OutC: 6, Act: ir.KindReLU, PoolKind: ir.KindMaxPool,
 			Pool: &ir.PoolAttrs{KH: 2, KW: 2, SH: 2, SW: 2},
 			LW:   randT(r, 32, 4, 1, 1), FW: randT(r, 6, 32, 1, 1)},
@@ -157,8 +157,8 @@ func TestFusedWorkspaceMatchesScratch(t *testing.T) {
 			LW: randT(r, 32, 4, 1, 1)},
 	}
 	for i, a := range cases {
-		offs, valid, xbuf, mid, pooled, ftile := fusedScratchLens(a)
-		want := (int64(offs)*4 + int64(valid) + int64(xbuf+mid+pooled+ftile)*4) * int64(Workers)
+		xbuf, mid, pooled, ftile := fusedScratchLens(a)
+		want := int64(xbuf+mid+pooled+ftile) * 4 * int64(Workers)
 		if got := FusedWorkspaceBytes(a); got != want {
 			t.Errorf("case %d: FusedWorkspaceBytes = %d, scratch lens imply %d", i, got, want)
 		}

@@ -74,9 +74,10 @@ func packBlocks(blocks []ir.ConvBlock, w []float32, inC, outC int) []gemmBlock {
 
 // mulBlocks computes, for every block, its C rows = A·(its B rows) + bias
 // over n columns: b holds the B operand's rows at stride ldb, c the output
-// rows at stride ldc, bias the per-output-row bias (nil for none). serial
-// keeps each GEMM on the calling goroutine.
-func mulBlocks(serial bool, blocks []gemmBlock, n int, b []float32, ldb int, bias, c []float32, ldc int) {
+// rows at stride ldc, bias the per-output-row bias (nil for none). relu
+// applies ReLU as the GEMM stores C. serial keeps each GEMM on the calling
+// goroutine.
+func mulBlocks(serial bool, blocks []gemmBlock, n int, b []float32, ldb int, bias, c []float32, ldc int, relu bool) {
 	for i := range blocks {
 		blk := &blocks[i]
 		var bb []float32
@@ -86,9 +87,9 @@ func mulBlocks(serial bool, blocks []gemmBlock, n int, b []float32, ldb int, bia
 		bs := b[blk.inOff*ldb : (blk.inOff+blk.k-1)*ldb+n]
 		cs := c[blk.outOff*ldc : (blk.outOff+blk.m-1)*ldc+n]
 		if serial {
-			gemm.SerialPackedABias(n, blk.pa, bs, ldb, bb, cs, ldc)
+			gemm.SerialPackedABias(n, blk.pa, bs, ldb, bb, cs, ldc, relu)
 		} else {
-			gemm.GemmPackedABias(n, blk.pa, bs, ldb, bb, cs, ldc)
+			gemm.GemmPackedABias(n, blk.pa, bs, ldb, bb, cs, ldc, relu)
 		}
 	}
 }
@@ -185,7 +186,7 @@ func conv1x1PlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Te
 	if n >= Workers && Workers > 1 {
 		return parallelForCtx(ctx, n, func(lo, hi int) {
 			for bi := lo; bi < hi; bi++ {
-				mulBlocks(true, p.pw, hw, in.Data[bi*inC*hw:(bi+1)*inC*hw], hw, bias, out.Data[bi*outC*hw:(bi+1)*outC*hw], hw)
+				mulBlocks(true, p.pw, hw, in.Data[bi*inC*hw:(bi+1)*inC*hw], hw, bias, out.Data[bi*outC*hw:(bi+1)*outC*hw], hw, false)
 			}
 		})
 	}
@@ -193,7 +194,7 @@ func conv1x1PlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Te
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		mulBlocks(false, p.pw, hw, in.Data[bi*inC*hw:(bi+1)*inC*hw], hw, bias, out.Data[bi*outC*hw:(bi+1)*outC*hw], hw)
+		mulBlocks(false, p.pw, hw, in.Data[bi*inC*hw:(bi+1)*inC*hw], hw, bias, out.Data[bi*outC*hw:(bi+1)*outC*hw], hw, false)
 	}
 	return nil
 }
@@ -215,7 +216,7 @@ func im2colPlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Ten
 			colPtr := gemm.GetF32(rows * cols)
 			for bi := lo; bi < hi; bi++ {
 				im2colIndexed(*colPtr, in, bi, inC, inHW, p.idx)
-				mulBlocks(true, p.pw, cols, *colPtr, cols, bias, out.Data[bi*outC*cols:(bi+1)*outC*cols], cols)
+				mulBlocks(true, p.pw, cols, *colPtr, cols, bias, out.Data[bi*outC*cols:(bi+1)*outC*cols], cols, false)
 			}
 			gemm.PutF32(colPtr)
 		})
@@ -227,7 +228,7 @@ func im2colPlannedCtx(ctx context.Context, out, in *tensor.Tensor, b *tensor.Ten
 			return err
 		}
 		im2colIndexed(*colPtr, in, bi, inC, inHW, p.idx)
-		mulBlocks(false, p.pw, cols, *colPtr, cols, bias, out.Data[bi*outC*cols:(bi+1)*outC*cols], cols)
+		mulBlocks(false, p.pw, cols, *colPtr, cols, bias, out.Data[bi*outC*cols:(bi+1)*outC*cols], cols, false)
 	}
 	gemm.PutF32(colPtr)
 	return nil
