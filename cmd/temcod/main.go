@@ -12,10 +12,11 @@
 //	temcod -model alexnet -batch-max 8 -batch-window 2ms
 //
 // -batch-max N (with N > 1) turns on dynamic request batching: concurrent
-// /infer requests coalesce for up to -batch-window into one engine run at
-// a compiled batch bucket, multiplying throughput under concurrent load at
-// the cost of up to one window of added latency. Outputs are bit-identical
-// to solo runs.
+// /infer requests coalesce for up to -batch-window into one engine run
+// padded to a bucket of the 1/4/8/16/32 ladder (clipped to N), multiplying
+// throughput under concurrent load at the cost of up to one window of added
+// latency. Without it every request runs alone, through the same worker run
+// path. Outputs are bit-identical to solo runs.
 //
 // Endpoints:
 //

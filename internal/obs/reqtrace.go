@@ -125,9 +125,9 @@ func allZero(s string) bool {
 // request's own clock (time since the ReqTrace was created), so spans from
 // different tiers of one process order naturally.
 type ReqSpan struct {
-	// Stage names the step ("route.attempt", "serve.queue", "batch.run",
-	// "engine.step", ...). Detail carries the stage-specific annotation
-	// (replica URL, bucket size, node name).
+	// Stage names the step ("route.attempt", "serve.queue", "serve.run",
+	// "batch.bucket", "engine.step", ...). Detail carries the
+	// stage-specific annotation (replica URL, bucket size, node name).
 	Stage  string `json:"stage"`
 	Detail string `json:"detail,omitempty"`
 	// Step is the schedule slot for engine/exec steps, -1 elsewhere.

@@ -88,14 +88,14 @@ func TestBatchedBitIdenticalFig11(t *testing.T) {
 			opt, fb := benchGraphs(t, name)
 			batched, err := New(opt, fb, Config{
 				Workers: 2, MaxBatchSize: 8, MaxBatchLatency: 300 * time.Millisecond,
-				DefaultTimeout: 60 * time.Second, BatchBuckets: []int{4, 8},
+				DefaultTimeout: 60 * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer batched.Close(context.Background())
 			solo, err := New(opt, fb, Config{
-				Workers: 1, DefaultTimeout: 60 * time.Second, BatchBuckets: []int{1},
+				Workers: 1, DefaultTimeout: 60 * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)

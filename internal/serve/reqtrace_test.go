@@ -26,7 +26,7 @@ func TestBatchTraceSiblingsAndSpans(t *testing.T) {
 	opt, fb := servePair()
 	s, err := New(opt, fb, Config{
 		Workers: 2, MaxBatchSize: 8, MaxBatchLatency: 300 * time.Millisecond,
-		DefaultTimeout: 60 * time.Second, BatchBuckets: []int{4, 8},
+		DefaultTimeout: 60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestBatchTraceSiblingsAndSpans(t *testing.T) {
 		for _, sp := range tl.Spans {
 			stages[sp.Stage]++
 		}
-		for _, want := range []string{"serve.admit", "serve.queue", "batch.window", "batch.bucket", "batch.run", "batch.scatter"} {
+		for _, want := range []string{"serve.admit", "serve.queue", "batch.window", "batch.bucket", "serve.run", "batch.scatter"} {
 			if stages[want] == 0 {
 				t.Errorf("request %d timeline missing %s (have %v)", i, want, stages)
 			}
