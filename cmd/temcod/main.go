@@ -432,14 +432,13 @@ type engineStatsz struct {
 }
 
 // batchingStatsz is the /statsz batching section: the coalescer's knobs
-// and the compiled bucket ladder, next to the live counters already in the
-// serve section (batched_runs, padded_slots, batch_pending, ...).
+// and the bucket ladder, next to the live counters already in the serve
+// section (batched_runs, padded_slots, batch_pending, ...).
 type batchingStatsz struct {
 	Enabled  bool    `json:"enabled"`
 	MaxBatch int     `json:"max_batch,omitempty"`
 	WindowMS float64 `json:"window_ms,omitempty"`
-	// Buckets is the runtime ladder batched runs pad to; every entry has
-	// an arena layout planned at session start.
+	// Buckets is the runtime ladder batched runs pad to.
 	Buckets []int `json:"buckets"`
 }
 

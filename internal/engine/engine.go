@@ -5,27 +5,27 @@
 // work is a function of the graph alone. Compile hoists it out of the run
 // loop:
 //
-//   - the topological schedule is computed once, and every node is
-//     prepared once by exec.PrepareStep — the same step table the
-//     interpreters run, so kernel choice, im2col gather geometry, and
-//     pre-packed conv/linear/fused weights are shared, not re-derived;
-//   - memplan liveness is baked into a first-fit offset Assignment so all
-//     intermediates live inside one reusable slab.
+//   - the topological schedule is prepared once by exec.Prepare — the
+//     same step table the interpreters run, so kernel choice, im2col
+//     gather geometry, and pre-packed conv/linear/fused weights are
+//     shared, not re-derived;
+//   - memplan plans exactly two arena layouts, batch 1 and one per-sample
+//     layout every larger batch scales (memplan.Layouts), so a new batch
+//     size costs O(nodes) scaling plus its slab, never a re-plan.
 //
-// Run then walks the baked schedule with the same resource guards the
-// interpreter enforces — ctx cancellation between layers, the memory
-// budget, and the fault-injection hooks — while allocating nothing on the
-// steady-state path. Outputs are bit-identical to exec.RunCtx.
+// Runs go through exec's one planned loop (exec.Frame.Run), the loop the
+// arena interpreter runs too, with the interpreter's resource guards —
+// ctx cancellation between layers, the memory budget, and the
+// fault-injection hooks — and no allocation on the steady-state path.
+// Outputs are bit-identical to exec.RunCtx.
 //
-// An Engine is immutable and safe to share; per-worker mutable state (the
-// slab, tensor views, output buffers) lives in an Instance.
+// An Engine is immutable and safe to share; per-worker mutable state (one
+// exec.Frame per batch size) lives in an Instance.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -38,16 +38,9 @@ import (
 
 // Options tunes Compile.
 type Options struct {
-	// Batch is the batch size whose arena layout is planned eagerly at
-	// compile time. Run accepts other batch sizes; each new size plans its
-	// layout (and allocates its slab) once, on first use. Default 1.
+	// Batch is the batch size Stats reports the plan footprint at and
+	// MeasureSteadyAllocs runs. Run accepts any batch size. Default 1.
 	Batch int
-	// Batches lists additional batch sizes whose arena layouts are planned
-	// eagerly at compile time — the bucket ladder a batching serving tier
-	// runs on. Planning at compile time keeps the O(n²) layout check off
-	// the first request at each bucket. Duplicates (including Batch) are
-	// fine; a non-positive entry fails compilation.
-	Batches []int
 	// BudgetBytes caps the per-run footprint — the arena slab plus the
 	// largest kernel workspace must fit, exactly as exec.RunArenaCtx
 	// accounts it — returning guard.ErrBudgetExceeded from Run when
@@ -55,41 +48,15 @@ type Options struct {
 	BudgetBytes int64
 }
 
-// step is one baked schedule slot: the prepared kernel and the schedule
-// slots of its inputs.
-type step struct {
-	exec.Step
-	inSlots []int
-}
-
-// layout is the per-batch-size arena plan, with the alias plan baked onto
-// schedule slots (exec.BakeAlias) so the run loop consults plain slices
-// and publishes the copies every run avoids without re-walking the plan.
-type layout struct {
-	batch      int
-	offsets    []int64 // byte offset per schedule slot
-	arenaBytes int64
-	maxWS      int64
-
-	alias   exec.AliasSlots
-	views   int
-	inPlace int
-}
-
 // Engine is a compiled graph: immutable after Compile and safe for
 // concurrent use. Workers execute it through per-worker Instances; the
 // convenience Run method maintains an internal instance pool.
 type Engine struct {
-	g          *ir.Graph
-	opts       Options
-	steps      []step
-	inSlots    []int // schedule slots of the graph inputs, in input order
-	outSlots   []int // schedule slots of the graph outputs, in output order
-	layerCalls int
-	packed     int64 // bytes held by pre-packed weight panels
-
-	mu      sync.Mutex
-	layouts map[int]*layout
+	g       *ir.Graph
+	opts    Options
+	prog    *exec.Program
+	layouts memplan.Layouts
+	plan    Stats // the plan footprint at Options.Batch; Runs stays 0
 
 	pool sync.Pool // *Instance, for Engine.Run
 	runs atomic.Uint64
@@ -106,8 +73,6 @@ type Stats struct {
 	// PrePackedBytes totals this engine's pre-packed weight panels and
 	// gather tables.
 	PrePackedBytes int64 `json:"prepacked_bytes"`
-	// PlannedBatches lists the batch sizes with baked arena layouts.
-	PlannedBatches []int `json:"planned_batches"`
 	// AliasViews and AliasInPlace count the view-classed tensors and
 	// in-place elementwise ops in the Options.Batch alias plan (0 when
 	// aliasing is off — see TEMCO_NOALIAS).
@@ -137,49 +102,22 @@ func Compile(g *ir.Graph, opts Options) (*Engine, error) {
 	if opts.Batch <= 0 {
 		opts.Batch = 1
 	}
-	e := &Engine{g: g, opts: opts, layouts: make(map[int]*layout)}
-	slotOf := g.Index()
-	e.steps = make([]step, len(g.Nodes))
-	for i, n := range g.Nodes {
-		st, err := exec.PrepareStep(n)
-		if err != nil {
-			return nil, fmt.Errorf("engine.Compile: %w", err)
-		}
-		s := &e.steps[i]
-		s.Step = st
-		e.packed += st.PackedBytes()
-		s.inSlots = make([]int, len(n.Inputs))
-		for j, p := range n.Inputs {
-			sl, ok := slotOf[p]
-			if !ok {
-				return nil, guard.Errorf(guard.ErrInvalidModel, "engine.Compile",
-					"node %s consumes %s, which is not in the schedule", n, p)
-			}
-			s.inSlots[j] = sl
-		}
-		if n.Kind != ir.KindInput {
-			e.layerCalls++
-		}
+	prog, err := exec.Prepare(g)
+	if err != nil {
+		return nil, fmt.Errorf("engine.Compile: %w", err)
 	}
-	e.inSlots = make([]int, len(g.Inputs))
-	for i, n := range g.Inputs {
-		e.inSlots[i] = slotOf[n]
+	// The O(n²) layout checks run here, once per graph, never per request:
+	// a layout bug must fail compilation, not corrupt inference.
+	layouts, err := memplan.PlanLayouts(g)
+	if err != nil {
+		return nil, guard.New(guard.ErrInternal, "engine.Compile", err)
 	}
-	e.outSlots = make([]int, len(g.Outputs))
-	for i, n := range g.Outputs {
-		e.outSlots[i] = slotOf[n]
-	}
-	if _, err := e.layoutFor(opts.Batch); err != nil {
-		return nil, err
-	}
-	for _, b := range opts.Batches {
-		if b <= 0 {
-			return nil, guard.Errorf(guard.ErrInvalidModel, "engine.Compile",
-				"invalid batch bucket %d", b)
-		}
-		if _, err := e.layoutFor(b); err != nil {
-			return nil, err
-		}
+	e := &Engine{g: g, opts: opts, prog: prog, layouts: layouts}
+	a := layouts.At(opts.Batch)
+	e.plan = Stats{ArenaBytes: a.ArenaBytes, MaxWorkspaceBytes: a.MaxWorkspace(), PrePackedBytes: prog.PackedBytes()}
+	if al := a.Alias; al != nil {
+		e.plan.AliasViews, e.plan.AliasInPlace = al.Views, al.InPlace
+		e.plan.CopyBytesEliminatedPerRun = al.EliminatedBytes
 	}
 	return e, nil
 }
@@ -187,57 +125,10 @@ func Compile(g *ir.Graph, opts Options) (*Engine, error) {
 // Graph returns the compiled graph.
 func (e *Engine) Graph() *ir.Graph { return e.g }
 
-// layoutFor returns the baked arena layout for a batch size, planning and
-// verifying it on first use.
-func (e *Engine) layoutFor(batch int) (*layout, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if l, ok := e.layouts[batch]; ok {
-		return l, nil
-	}
-	asg := memplan.AssignOffsets(e.g, batch)
-	// The O(n²) verification runs once per (graph, batch), never per
-	// request: a layout bug must fail compilation, not corrupt inference.
-	if err := asg.Check(); err != nil {
-		return nil, guard.New(guard.ErrInternal, "engine.layout", err)
-	}
-	l := &layout{batch: batch, offsets: make([]int64, len(e.g.Nodes)), arenaBytes: asg.ArenaBytes,
-		alias: exec.BakeAlias(e.g, asg.Alias)}
-	for i, n := range e.g.Nodes {
-		off, ok := asg.Offsets[n]
-		if !ok {
-			return nil, guard.Errorf(guard.ErrInternal, "engine.layout", "node %s has no arena offset", n)
-		}
-		l.offsets[i] = off
-	}
-	if al := asg.Alias; al != nil {
-		l.views, l.inPlace = al.Views, al.InPlace
-	}
-	for _, n := range e.g.Nodes {
-		if ws := memplan.Workspace(n, batch); ws > l.maxWS {
-			l.maxWS = ws
-		}
-	}
-	e.layouts[batch] = l
-	return l, nil
-}
-
 // Stats snapshots the engine's counters and plan footprint.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := Stats{Runs: e.runs.Load(), PrePackedBytes: e.packed}
-	if l, ok := e.layouts[e.opts.Batch]; ok {
-		st.ArenaBytes = l.arenaBytes
-		st.MaxWorkspaceBytes = l.maxWS
-		st.AliasViews = l.views
-		st.AliasInPlace = l.inPlace
-		st.CopyBytesEliminatedPerRun = l.alias.ElimBytes
-	}
-	for b := range e.layouts {
-		st.PlannedBatches = append(st.PlannedBatches, b)
-	}
-	sort.Ints(st.PlannedBatches)
+	st := e.plan
+	st.Runs = e.runs.Load()
 	return st
 }
 
@@ -261,15 +152,4 @@ func (e *Engine) Run(ctx context.Context, inputs ...*tensor.Tensor) (*exec.Resul
 	calls := r.LayerCalls
 	e.pool.Put(inst)
 	return &exec.Result{Outputs: out, LayerCalls: calls}, nil
-}
-
-// recoverInternal converts an escaping kernel panic into an error wrapping
-// guard.ErrInternal, preserving the panic site's stack for logging. It is
-// deferred directly (not via closure) so the steady-state path stays
-// allocation-free.
-func recoverInternal(op string, errp *error) {
-	if r := recover(); r != nil {
-		*errp = &guard.Error{Kind: guard.ErrInternal, Op: op,
-			Err: fmt.Errorf("panic: %v", r), Stack: debug.Stack()}
-	}
 }

@@ -66,6 +66,26 @@ func buildOptimized(t testing.TB, name string) *ir.Graph {
 	return g
 }
 
+// buildDecomposed returns the Decomposed variant (Tucker layers, no TeMCO
+// passes), cached like buildOptimized.
+func buildDecomposed(t testing.TB, name string) *ir.Graph {
+	t.Helper()
+	key := "decomposed/" + name
+	if g, ok := graphCache[key]; ok {
+		return g
+	}
+	spec, err := models.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := experiments.BuildVariant(spec, experiments.Decomposed, testCfg(), decompose.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphCache[key] = g
+	return g
+}
+
 func buildOriginal(t testing.TB, name string) *ir.Graph {
 	t.Helper()
 	spec, err := models.Get(name)
@@ -186,7 +206,7 @@ func TestEngineOriginalModels(t *testing.T) {
 }
 
 // TestEngineBatchSwitch runs one instance across changing batch sizes;
-// each size gets its own baked layout and they must not interfere.
+// each size gets its own frame and they must not interfere.
 func TestEngineBatchSwitch(t *testing.T) {
 	ctx := context.Background()
 	g := buildOptimized(t, "alexnet")
@@ -208,9 +228,6 @@ func TestEngineBatchSwitch(t *testing.T) {
 		requireBitIdentical(t, fmt.Sprintf("batch=%d", batch), got, want)
 	}
 	st := e.Stats()
-	if len(st.PlannedBatches) != 3 {
-		t.Fatalf("planned batches = %v, want 3 distinct sizes", st.PlannedBatches)
-	}
 	if st.Runs != 5 {
 		t.Fatalf("runs = %d, want 5", st.Runs)
 	}
@@ -486,46 +503,130 @@ func TestEngineStats(t *testing.T) {
 	}
 }
 
-// TestCompileBatchLadder: Options.Batches plans the whole bucket ladder
-// eagerly so no request pays the O(n²) layout check on the hot path, and
-// Stats reports the planned sizes sorted.
+// TestCompileBatchLadder: an engine compiled at batch 1 runs every bucket
+// of the serving ladder from its two planned layouts, each bit-identical
+// to the interpreter at that batch size, and refuses a batch of 0 as an
+// invalid input.
 func TestCompileBatchLadder(t *testing.T) {
+	ctx := context.Background()
 	g := buildOptimized(t, "alexnet")
-	e, err := engine.Compile(g, engine.Options{Batch: 1, Batches: []int{8, 4, 1, 32, 16}})
+	e, err := engine.Compile(g, engine.Options{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 4, 8, 16, 32}
-	got := e.Stats().PlannedBatches
-	if len(got) != len(want) {
-		t.Fatalf("planned batches %v, want %v", got, want)
+	inst := e.NewInstance()
+	for _, batch := range []int{1, 4, 8, 16, 32} {
+		x := randInput(g, batch, 11)
+		got, err := inst.Run(ctx, x)
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		want, err := exec.RunCtx(ctx, g, 0, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, fmt.Sprintf("ladder-batch-%d", batch), got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("planned batches %v, want %v", got, want)
+	if _, err := inst.Run(ctx, randInput(g, 0, 1)); !errors.Is(err, guard.ErrInvalidModel) {
+		t.Fatalf("batch 0: err = %v, want ErrInvalidModel", err)
+	}
+}
+
+// TestScaledLayoutsFig11: the layout an engine scales for batch n is the
+// layout memplan.AssignOffsets plans at n — arena size and every node's
+// offset — and passes Check; and Stats at Options.Batch reports the
+// footprint memplan plans there, for optimized and decomposed graphs.
+func TestScaledLayoutsFig11(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decomposes every Fig. 11 model twice")
+	}
+	if raceEnabled {
+		t.Skip("plan arithmetic only: nothing concurrent to race, and the decompositions are slow under -race")
+	}
+	for _, name := range fig11Names {
+		for variant, g := range map[string]*ir.Graph{"optimized": buildOptimized(t, name), "decomposed": buildDecomposed(t, name)} {
+			e, err := engine.Compile(g, engine.Options{Batch: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, batch := range []int{2, 3, 4, 5, 8, 16, 32} {
+				label := fmt.Sprintf("%s/%s/b%d", name, variant, batch)
+				got, want := e.LayoutAt(batch), memplan.AssignOffsets(g, batch)
+				if got.ArenaBytes != want.ArenaBytes {
+					t.Fatalf("%s: arena %d, AssignOffsets %d", label, got.ArenaBytes, want.ArenaBytes)
+				}
+				for _, n := range g.Nodes {
+					if got.Offsets[n] != want.Offsets[n] {
+						t.Fatalf("%s: %s at %d, AssignOffsets places it at %d", label, n, got.Offsets[n], want.Offsets[n])
+					}
+				}
+				if err := got.Check(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				eb, err := engine.Compile(g, engine.Options{Batch: batch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ws, elim int64
+				for _, n := range g.Nodes {
+					ws = max(ws, memplan.Workspace(n, batch))
+				}
+				if want.Alias != nil {
+					elim = want.Alias.EliminatedBytes
+				}
+				st := eb.Stats()
+				if st.ArenaBytes != want.ArenaBytes || st.MaxWorkspaceBytes != ws || st.CopyBytesEliminatedPerRun != elim {
+					t.Fatalf("%s: stats arena %d workspace %d eliminated %d, memplan plans %d, %d, %d",
+						label, st.ArenaBytes, st.MaxWorkspaceBytes, st.CopyBytesEliminatedPerRun, want.ArenaBytes, ws, elim)
+				}
+			}
 		}
 	}
-	// Every ladder entry is immediately runnable and bit-identical to the
-	// interpreter at that batch size.
-	x := randInput(g, 4, 11)
-	gotRes, err := e.Run(context.Background(), x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := exec.RunCtx(context.Background(), g, 0, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, "ladder-batch-4", gotRes, wantRes)
+}
 
-	if _, err := engine.Compile(g, engine.Options{Batches: []int{4, 0}}); !errors.Is(err, guard.ErrInvalidModel) {
-		t.Fatalf("non-positive bucket must fail compilation, got %v", err)
+// TestInputErrorsTyped: an input that does not fit the graph is the
+// caller's error to every executor — wrong arity, wrong sample shape, or
+// inputs whose batch sizes disagree all fail with guard.ErrInvalidModel.
+func TestInputErrorsTyped(t *testing.T) {
+	b := ir.NewBuilder("two-inputs", 1)
+	x, y := b.Input(2, 4, 4), b.Input(2, 4, 4)
+	b.Output(b.Add(x, y))
+	g := b.G
+	e, err := engine.Compile(g, engine.Options{Batch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := func(shape ...int) *tensor.Tensor { return tensor.New(shape...) }
+	asg := memplan.AssignOffsets(g, 2)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		inputs []*tensor.Tensor
+	}{
+		{"arity", []*tensor.Tensor{in(2, 2, 4, 4)}},
+		{"sample shape", []*tensor.Tensor{in(2, 2, 4, 4), in(2, 3, 4, 4)}},
+		{"no batch dim", []*tensor.Tensor{in(2, 4, 4), in(2, 4, 4)}},
+		{"batch disagrees", []*tensor.Tensor{in(2, 2, 4, 4), in(3, 2, 4, 4)}},
+	} {
+		for _, run := range []struct {
+			name string
+			fn   func() error
+		}{
+			{"RunCtx", func() error { _, err := exec.RunCtx(ctx, g, 0, tc.inputs...); return err }},
+			{"RunArenaCtx", func() error { _, err := exec.RunArenaCtx(ctx, g, asg, 0, tc.inputs...); return err }},
+			{"Instance.Run", func() error { _, err := e.NewInstance().Run(ctx, tc.inputs...); return err }},
+		} {
+			if err := run.fn(); !errors.Is(err, guard.ErrInvalidModel) {
+				t.Errorf("%s/%s: err = %v, want ErrInvalidModel", tc.name, run.name, err)
+			}
+		}
 	}
 }
 
 // TestEngineZeroAllocSteadyStateBatchedBucket extends the zero-alloc gate
 // to a batched bucket: a fixed-bucket batched run (the serving coalescer's
-// steady state) must not touch the heap either. The name shares the
+// steady state) on an engine compiled at batch 1, as serve compiles it,
+// must not touch the heap either. The name shares the
 // TestEngineZeroAllocSteadyState prefix so CI's alloc gate runs it.
 func TestEngineZeroAllocSteadyStateBatchedBucket(t *testing.T) {
 	if raceEnabled {
@@ -535,7 +636,7 @@ func TestEngineZeroAllocSteadyStateBatchedBucket(t *testing.T) {
 	defer ops.SetWorkers(prev)
 	ctx := context.Background()
 	g := buildOptimized(t, "alexnet")
-	e, err := engine.Compile(g, engine.Options{Batch: 1, Batches: []int{4, 8}})
+	e, err := engine.Compile(g, engine.Options{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"temco/internal/ir"
 	"temco/internal/memplan"
-	"temco/internal/obs"
 	"temco/internal/tensor"
 )
 
@@ -16,54 +15,9 @@ func withAliasing(t *testing.T, on bool, f func()) {
 	f()
 }
 
-// TestArenaBorrowsSafeInput: when nothing aliases or mutates the graph
-// input's region, RunArena must use the caller's buffer directly instead
-// of copying it into the arena — visible as an eliminated copy (and no
-// input-sized copy) on the process-wide ledger.
-func TestArenaBorrowsSafeInput(t *testing.T) {
-	withAliasing(t, true, func() {
-		b := ir.NewBuilder("borrow", 21)
-		in := b.Input(3, 8, 8)
-		b.Output(b.Conv(in, 4, 3, 1, 1))
-		g := b.G
-		asg := memplan.AssignOffsets(g, 1)
-		if err := asg.Check(); err != nil {
-			t.Fatal(err)
-		}
-		if !asg.Alias.BorrowableInput(in) {
-			t.Fatal("conv-only consumer: input should be borrowable")
-		}
-		x := randIn(7, 1, 3, 8, 8)
-		before := obs.CopyStatsSnapshot()
-		got, err := RunArena(g, asg, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := obs.CopyStatsSnapshot()
-		if d := after.CopiesEliminated - before.CopiesEliminated; d < 1 {
-			t.Fatalf("borrow not counted: copies_eliminated delta %d", d)
-		}
-		inBytes := uint64(in.OutBytes(1))
-		if d := after.EliminatedBytes - before.EliminatedBytes; d < inBytes {
-			t.Fatalf("eliminated_bytes delta %d, want >= %d", d, inBytes)
-		}
-		if d := after.CopyBytes - before.CopyBytes; d != 0 {
-			t.Fatalf("borrowed run still copied %d bytes", d)
-		}
-		want, err := Run(g, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := tensor.MaxAbsDiff(got.Outputs[0], want.Outputs[0]); d != 0 {
-			t.Fatalf("borrowed-input run deviates by %v", d)
-		}
-	})
-}
-
-// TestArenaInputMutationFallsBackToCopy is the regression test for the
-// input-borrowing hazard: here the plan runs the relu in place on the
-// input's storage, so the input must be copied into the arena (not
-// borrowed) and the caller's buffer must come back untouched.
+// TestArenaInputMutationFallsBackToCopy: here the plan runs the relu in
+// place on the input's storage, so the arena executor must work on its
+// copy of the input and hand the caller's buffer back untouched.
 func TestArenaInputMutationFallsBackToCopy(t *testing.T) {
 	withAliasing(t, true, func() {
 		b := ir.NewBuilder("mutate", 22)
@@ -77,9 +31,6 @@ func TestArenaInputMutationFallsBackToCopy(t *testing.T) {
 		p := asg.Alias
 		if r, _ := p.Root(g.Nodes[1]); r != in {
 			t.Fatalf("precondition: relu should run in place on the input, roots at %s", r)
-		}
-		if p.BorrowableInput(in) {
-			t.Fatal("input with an in-place overwriter must not be borrowable")
 		}
 		x := randIn(9, 1, 3, 8, 8)
 		orig := x.Clone()

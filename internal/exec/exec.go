@@ -1,12 +1,14 @@
 // Package exec runs layer graphs on real data. It owns the one kernel
 // table every executor shares: PrepareStep plans a node's kernel (the conv
 // decision, packed weights, gather tables) and Step.Run executes it into a
-// caller-provided output. Two interpreters sit on top. RunCtx walks the
+// caller-provided output. Two run loops sit on top. RunCtx walks the
 // schedule, allocates one batched NCHW tensor per node, and releases
 // tensors after their last use, mirroring the allocate/free discipline the
-// memory planner simulates. RunArenaCtx runs the same steps inside one
-// arena laid out by memplan.AssignOffsets. The compiled engine
-// (internal/engine) prepares the same steps once and reuses them.
+// memory planner simulates. Frame.Run is the one planned loop: a Program
+// (the schedule prepared once) runs inside a Frame, one arena laid out by
+// a memplan.Assignment. The compiled engine (internal/engine) keeps a
+// Program and a Frame per batch size; RunArenaCtx is the same loop as a
+// one-shot.
 package exec
 
 import (
@@ -46,20 +48,14 @@ func Run(g *ir.Graph, inputs ...*tensor.Tensor) (*Result, error) {
 // instead of OOMing. The accounting mirrors memplan.Simulate, so a budget
 // of Simulate(g, batch, 0).PeakWithWorkspace always suffices. A panicking
 // kernel is recovered into an error wrapping guard.ErrInternal.
-func RunCtx(ctx context.Context, g *ir.Graph, budgetBytes int64, inputs ...*tensor.Tensor) (*Result, error) {
-	if len(inputs) != len(g.Inputs) {
-		return nil, fmt.Errorf("exec: graph %s takes %d inputs, got %d", g.Name, len(g.Inputs), len(inputs))
+func RunCtx(ctx context.Context, g *ir.Graph, budgetBytes int64, inputs ...*tensor.Tensor) (res *Result, err error) {
+	defer recoverInternal("exec.RunCtx", &err)
+	batch, err := BatchOf(g, inputs)
+	if err != nil {
+		return nil, err
 	}
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("exec: graph %s has no inputs", g.Name)
-	}
-	batch := inputs[0].Dim(0)
 	vals := make(map[*ir.Node]*tensor.Tensor, len(g.Nodes))
 	for i, in := range g.Inputs {
-		want := append([]int{batch}, in.Shape...)
-		if !shapeEq(inputs[i].Shape, want) {
-			return nil, fmt.Errorf("exec: input %d has shape %v, want %v", i, inputs[i].Shape, want)
-		}
 		vals[in] = inputs[i]
 	}
 	live := memplan.Analyze(g)
@@ -89,10 +85,9 @@ func RunCtx(ctx context.Context, g *ir.Graph, budgetBytes int64, inputs ...*tens
 	if tr != nil {
 		lane = tr.Lane()
 	}
-	var measuredLive int64
-	var liveBytes int64
-	var acct copyAcct
-	res := &Result{}
+	var measuredLive, liveBytes, copied, elimBytes int64
+	var elim uint64
+	res = &Result{}
 	for i, n := range g.Nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, guard.New(guard.ErrCanceled, "exec.RunCtx", err)
@@ -118,18 +113,23 @@ func RunCtx(ctx context.Context, g *ir.Graph, budgetBytes int64, inputs ...*tens
 			r0 = rt.Since()
 		}
 		if n.Kind != ir.KindInput {
-			out, stepCopy, err := runNode(ctx, g.Name, n, vals, batch)
+			in := make([]*tensor.Tensor, len(n.Inputs))
+			for j, p := range n.Inputs {
+				in[j] = vals[p]
+			}
+			out, stepCopy, err := RunNode(ctx, g.Name, n, in, batch)
 			if err != nil {
 				return nil, fmt.Errorf("exec: node %s: %w", n, err)
 			}
 			vals[n] = out
 			res.LayerCalls++
-			acct.copied += stepCopy
+			copied += stepCopy
 			if n.Kind == ir.KindFlatten {
-				acct.eliminate(n.OutBytes(batch))
+				elim++
+				elimBytes += n.OutBytes(batch)
 			}
 			if tr != nil {
-				endSpan(tr, t0, n, lane, i, liveBytes, -1, stepCopy)
+				endSpan(tr, t0, "exec", n, lane, i, liveBytes, -1, stepCopy)
 			}
 			if rt != nil {
 				rt.SpanAt("exec.step", n.Name, i, r0, rt.Since()-r0)
@@ -156,8 +156,37 @@ func RunCtx(ctx context.Context, g *ir.Graph, budgetBytes int64, inputs ...*tens
 		}
 		res.Outputs = append(res.Outputs, t)
 	}
-	obs.CountCopies(acct.copied, acct.elim, acct.elimBytes)
+	obs.CountCopies(copied, elim, elimBytes)
 	return res, nil
+}
+
+// BatchOf checks inputs against g's graph inputs — one [N, sample...]
+// tensor per graph input, in graph-input order, all with the same N ≥ 1 —
+// and returns N. Any mismatch is the caller's, so it fails with
+// guard.ErrInvalidModel.
+func BatchOf(g *ir.Graph, inputs []*tensor.Tensor) (int, error) {
+	if len(g.Inputs) == 0 {
+		return 0, guard.Errorf(guard.ErrInvalidModel, "exec.BatchOf", "graph %s has no inputs", g.Name)
+	}
+	if len(inputs) != len(g.Inputs) {
+		return 0, guard.Errorf(guard.ErrInvalidModel, "exec.BatchOf",
+			"graph %s takes %d inputs, got %d", g.Name, len(g.Inputs), len(inputs))
+	}
+	batch := 0
+	for i, in := range g.Inputs {
+		x := inputs[i]
+		if x == nil || len(x.Shape) != len(in.Shape)+1 || !shapeEq(x.Shape[1:], in.Shape) {
+			return 0, guard.Errorf(guard.ErrInvalidModel, "exec.BatchOf", "input %d is not a [N %v] tensor", i, in.Shape)
+		}
+		if i == 0 {
+			batch = x.Shape[0]
+		}
+		if x.Shape[0] != batch || batch < 1 {
+			return 0, guard.Errorf(guard.ErrInvalidModel, "exec.BatchOf",
+				"input %d has batch %d, want one batch size ≥ 1", i, x.Shape[0])
+		}
+	}
+	return batch, nil
 }
 
 func shapeEq(a, b []int) bool {
@@ -184,36 +213,18 @@ func beginSpan(tr *obs.Tracer) obsStart {
 	return obsStart{at: tr.Since(), pool: gemm.PoolStatsSnapshot()}
 }
 
-// endSpan records one per-step span. All arguments are scalars and
-// interned strings; recording never allocates (see obs.Tracer.Record).
-func endSpan(tr *obs.Tracer, t0 obsStart, n *ir.Node, lane uint64, step int, live, arenaOff, copyBytes int64) {
+// endSpan records one per-step span under the executor category cat. All
+// arguments are scalars and interned strings; recording never allocates
+// (see obs.Tracer.Record).
+func endSpan(tr *obs.Tracer, t0 obsStart, cat string, n *ir.Node, lane uint64, step int, live, arenaOff, copyBytes int64) {
 	p1 := gemm.PoolStatsSnapshot()
 	tr.Record(obs.Span{
-		Name: n.Name, Cat: "exec", Kind: n.Kind.String(), Lane: lane, Step: step,
+		Name: n.Name, Cat: cat, Kind: n.Kind.String(), Lane: lane, Step: step,
 		Start: t0.at, Dur: tr.Since() - t0.at,
 		LiveBytes: live, ArenaOff: arenaOff,
 		PackHits: p1.Hits - t0.pool.Hits, PackMisses: p1.Misses - t0.pool.Misses,
 		CopyBytes: copyBytes,
 	})
-}
-
-// runNode gathers node n's inputs from vals and runs it through RunNode,
-// recovering a panicking kernel (or faultinject hook) into
-// guard.ErrInternal.
-func runNode(ctx context.Context, scope string, n *ir.Node, vals map[*ir.Node]*tensor.Tensor, batch int) (out *tensor.Tensor, copied int64, err error) {
-	in := make([]*tensor.Tensor, len(n.Inputs))
-	for i, p := range n.Inputs {
-		t, ok := vals[p]
-		if !ok {
-			return nil, 0, fmt.Errorf("input %s released too early", p)
-		}
-		in[i] = t
-	}
-	err = guard.Safe("exec.RunCtx", func() (err error) {
-		out, copied, err = RunNode(ctx, scope, n, in, batch)
-		return err
-	})
-	return out, copied, err
 }
 
 // RunNode prepares node n, allocates its output at the given batch size —

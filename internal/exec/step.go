@@ -8,7 +8,6 @@ import (
 	"temco/internal/gemm"
 	"temco/internal/guard"
 	"temco/internal/ir"
-	"temco/internal/memplan"
 	"temco/internal/ops"
 	"temco/internal/tensor"
 )
@@ -63,9 +62,6 @@ func PrepareStep(n *ir.Node) (Step, error) {
 	}
 	return s, nil
 }
-
-// Node returns the node this step executes.
-func (s *Step) Node() *ir.Node { return s.node }
 
 // PackedBytes reports the step's resident packed panels and gather tables.
 func (s *Step) PackedBytes() int64 {
@@ -138,31 +134,4 @@ func (s *Step) Run(ctx context.Context, scope string, out *tensor.Tensor, in []*
 		return 0, guard.New(guard.ErrCanceled, "exec.Step", err)
 	}
 	return 0, nil
-}
-
-// AliasSlots is an alias plan baked onto g's schedule slots, so run loops
-// consult plain slices, never the plan's maps.
-type AliasSlots struct {
-	// ConcatSkip[i] flags the concat inputs already resident in slot i's
-	// region (nil when slot i copies every input).
-	ConcatSkip [][]bool
-	// FlatView[i] marks a flatten slot that shares its input's storage.
-	FlatView []bool
-	// ElimCopies and ElimBytes total the copies every run avoids.
-	ElimCopies uint64
-	ElimBytes  int64
-}
-
-// BakeAlias bakes plan (nil when aliasing is off) onto g's schedule.
-func BakeAlias(g *ir.Graph, plan *memplan.AliasPlan) AliasSlots {
-	a := AliasSlots{ConcatSkip: make([][]bool, len(g.Nodes)), FlatView: make([]bool, len(g.Nodes))}
-	if plan == nil {
-		return a
-	}
-	a.ElimCopies, a.ElimBytes = plan.EliminatedCopies, plan.EliminatedBytes
-	for i, n := range g.Nodes {
-		a.ConcatSkip[i] = plan.ConcatSkip[n]
-		a.FlatView[i] = n.Kind == ir.KindFlatten && plan.StorageOf(n).Class == memplan.StorageView
-	}
-	return a
 }

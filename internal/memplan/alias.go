@@ -73,10 +73,6 @@ type AliasPlan struct {
 	// views into the concat output (the concat step must not copy them).
 	// Concats with no aliased inputs are absent.
 	ConcatSkip map[*ir.Node][]bool
-	// viewsOnRoot counts, per owned root, the nodes (other than the root)
-	// resolving to its storage; a graph input with sharers cannot be
-	// borrowed.
-	viewsOnRoot map[*ir.Node]int
 
 	// Views counts view-classed tensors; InPlace the subset that are
 	// in-place elementwise results.
@@ -115,20 +111,22 @@ func (p *AliasPlan) Root(n *ir.Node) (*ir.Node, int64) {
 	}
 }
 
-// BorrowableInput reports whether graph input in's caller-provided buffer
-// can be used directly by an arena executor instead of being copied in:
-// the input must own its storage and nothing else may resolve to it (a
-// view would read the arena region the borrow leaves unwritten; an
-// in-place op would mutate the caller's tensor). A nil plan (aliasing
-// off) keeps the legacy copy-in behavior.
-func (p *AliasPlan) BorrowableInput(in *ir.Node) bool {
+// scaled returns the plan at another batch size above 1: the storage
+// classes do not depend on the batch there, so only the byte quantities
+// change. See Layouts.
+func (p *AliasPlan) scaled(batch int) *AliasPlan {
 	if p == nil {
-		return false
+		return nil
 	}
-	if p.StorageOf(in).Class != StorageOwned {
-		return false
+	q := *p
+	q.Batch = batch
+	q.views = make(map[*ir.Node]Storage, len(p.views))
+	for n, s := range p.views {
+		s.ByteOff = s.ByteOff / int64(p.Batch) * int64(batch)
+		q.views[n] = s
 	}
-	return p.viewsOnRoot[in] == 0
+	q.EliminatedBytes = p.EliminatedBytes / int64(p.Batch) * int64(batch)
+	return &q
 }
 
 // inPlaceCandidates returns the inputs whose storage n's kernel may
@@ -159,11 +157,10 @@ func BuildAliasPlan(g *ir.Graph, batch int) *AliasPlan {
 	}
 	live := Analyze(g)
 	p := &AliasPlan{
-		Graph:       g,
-		Batch:       batch,
-		views:       make(map[*ir.Node]Storage),
-		ConcatSkip:  make(map[*ir.Node][]bool),
-		viewsOnRoot: make(map[*ir.Node]int),
+		Graph:      g,
+		Batch:      batch,
+		views:      make(map[*ir.Node]Storage),
+		ConcatSkip: make(map[*ir.Node][]bool),
 	}
 	// group lists, per owned root, every node resolving to its storage
 	// (the root included). Merged when a root is re-based into a concat.
@@ -182,8 +179,6 @@ func BuildAliasPlan(g *ir.Graph, batch int) *AliasPlan {
 		moved := members(n)
 		group[r] = append(members(r), moved...)
 		delete(group, n)
-		p.viewsOnRoot[r] += len(moved)
-		delete(p.viewsOnRoot, n) // n is no longer a root
 	}
 	// deadBy reports whether every tensor sharing root r's storage is past
 	// its last use at schedule slot i — the safety rule: the region may be
@@ -258,17 +253,15 @@ func BuildAliasPlan(g *ir.Graph, batch int) *AliasPlan {
 	return p
 }
 
-// groupInterval is the extended liveness of one owned root: from the
-// first definition of any sharer (producers write their rows into the
-// region before the root's own slot) through the last use of any sharer.
-func (p *AliasPlan) groupIntervals(live Liveness, nNodes int) map[*ir.Node][2]int {
-	iv := make(map[*ir.Node][2]int)
-	for _, n := range p.Graph.Nodes {
-		r, _ := p.Root(n)
-		b, e := live.Begin[n], live.End[n]
-		if e > nNodes {
-			e = nNodes
-		}
+// rootIntervals maps every owned storage root of g under plan (every node
+// when plan is nil) to its extended liveness: from the first definition of
+// any sharer (producers write their rows into the region before the
+// root's own slot) through the last use of any sharer.
+func rootIntervals(g *ir.Graph, plan *AliasPlan, live Liveness) map[*ir.Node][2]int {
+	iv := make(map[*ir.Node][2]int, len(g.Nodes))
+	for _, n := range g.Nodes {
+		r, _ := plan.Root(n)
+		b, e := live.Begin[n], min(live.End[n], len(g.Nodes))
 		cur, ok := iv[r]
 		if !ok {
 			cur = [2]int{b, e}
@@ -323,7 +316,7 @@ func SimulateAlias(g *ir.Graph, batch, skipThreshold int, plan *AliasPlan) Profi
 		skipThreshold = DefaultSkipThreshold
 	}
 	live := Analyze(g)
-	iv := plan.groupIntervals(live, len(g.Nodes))
+	iv := rootIntervals(g, plan, live)
 	p := Profile{Graph: g, Batch: batch, WeightBytes: g.WeightBytes()}
 	allocAt := make([][]*ir.Node, len(g.Nodes)+1)
 	freeAt := make([][]*ir.Node, len(g.Nodes)+1)

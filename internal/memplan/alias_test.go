@@ -185,34 +185,6 @@ func TestAliasSecondConcatCopiesSharedInput(t *testing.T) {
 	})
 }
 
-// TestAliasBorrowableInput: an untouched graph input is borrowable; one
-// that a concat pulls into its region is not.
-func TestAliasBorrowableInput(t *testing.T) {
-	withAliasing(t, true, func() {
-		b := ir.NewBuilder("borrow", 1)
-		in := b.Input(4, 8, 8)
-		b.Output(b.ReLU(b.Conv(in, 4, 3, 1, 1)))
-		p := BuildAliasPlan(b.G, 1)
-		if !p.BorrowableInput(in) {
-			t.Fatal("plain conv consumer: input should be borrowable")
-		}
-
-		b2 := ir.NewBuilder("borrow2", 1)
-		in2 := b2.Input(2, 4, 4)
-		x := b2.Conv(in2, 2, 3, 1, 1)
-		b2.Output(b2.Concat(in2, x))
-		p2 := BuildAliasPlan(b2.G, 1)
-		if p2.BorrowableInput(in2) {
-			t.Fatal("input is a concat view: must not be borrowable")
-		}
-	})
-	// A nil plan (aliasing off) never borrows.
-	var nilPlan *AliasPlan
-	if nilPlan.BorrowableInput(&ir.Node{}) {
-		t.Fatal("nil plan borrowed")
-	}
-}
-
 // TestAliasKillSwitch: SetAliasing(false) must produce nil plans and the
 // classic layout; AssignOffsetsNoAlias must match it exactly.
 func TestAliasKillSwitch(t *testing.T) {

@@ -49,6 +49,62 @@ func (a Assignment) Fragmentation() float64 {
 	return float64(a.ArenaBytes)/float64(a.PeakInternal) - 1
 }
 
+// MaxWorkspace returns the largest kernel workspace of any node at the
+// layout's batch size: the scratch a run needs on top of the arena.
+func (a Assignment) MaxWorkspace() int64 {
+	var ws int64
+	for _, n := range a.Graph.Nodes {
+		ws = max(ws, Workspace(n, a.Batch))
+	}
+	return ws
+}
+
+// Layouts holds the two arena layouts that cover every batch size of one
+// graph. Above batch 1 the alias plan does not depend on the batch
+// (concat inputs become views only at batch 1, where their rows are
+// contiguous; flatten views and in-place runs hold at any batch), and
+// every tensor's size is the batch times its per-sample size. The
+// largest-first best-fit placement therefore makes the same choices at
+// every n > 1, and AssignOffsets(g, n) is exactly n times one per-sample
+// layout: offsets, arena size and live peak alike. Batch 1 keeps a layout
+// of its own, with its concat views.
+type Layouts struct {
+	one Assignment
+	// perSample is the batch-2 layout; At scales it by n/2 (every byte
+	// quantity in it is a multiple of 2).
+	perSample Assignment
+}
+
+// PlanLayouts plans and checks both layouts of g. It is the only offset
+// assignment a compiled graph needs: At serves any batch size from them.
+func PlanLayouts(g *ir.Graph) (Layouts, error) {
+	l := Layouts{one: AssignOffsets(g, 1), perSample: AssignOffsets(g, 2)}
+	if err := l.one.Check(); err != nil {
+		return Layouts{}, err
+	}
+	if err := l.perSample.Check(); err != nil {
+		return Layouts{}, err
+	}
+	return l, nil
+}
+
+// At returns the layout for a batch size ≥ 1, equal to AssignOffsets(g,
+// batch), in O(nodes): the batch-1 layout, or the per-sample layout
+// scaled to batch.
+func (l Layouts) At(batch int) Assignment {
+	if batch == 1 {
+		return l.one
+	}
+	a := l.perSample
+	scale := func(x int64) int64 { return x / int64(a.Batch) * int64(batch) }
+	out := Assignment{Graph: a.Graph, Batch: batch, Offsets: make(map[*ir.Node]int64, len(a.Offsets)),
+		ArenaBytes: scale(a.ArenaBytes), PeakInternal: scale(a.PeakInternal), Alias: a.Alias.scaled(batch)}
+	for n, off := range a.Offsets {
+		out.Offsets[n] = scale(off)
+	}
+	return out
+}
+
 type interval struct {
 	node       *ir.Node
 	begin, end int
@@ -78,19 +134,7 @@ func assignOffsets(g *ir.Graph, batch int, plan *AliasPlan) Assignment {
 	live := Analyze(g)
 	p := SimulateAlias(g, batch, 0, plan)
 	// One interval per owned storage root, spanning every sharer.
-	var roots map[*ir.Node][2]int
-	if plan != nil {
-		roots = plan.groupIntervals(live, len(g.Nodes))
-	} else {
-		roots = make(map[*ir.Node][2]int, len(g.Nodes))
-		for _, n := range g.Nodes {
-			end := live.End[n]
-			if end > len(g.Nodes) {
-				end = len(g.Nodes)
-			}
-			roots[n] = [2]int{live.Begin[n], end}
-		}
-	}
+	roots := rootIntervals(g, plan, live)
 	ivs := make([]*interval, 0, len(roots))
 	for r, be := range roots {
 		ivs = append(ivs, &interval{node: r, begin: be[0], end: be[1], size: r.OutBytes(batch)})
@@ -165,15 +209,7 @@ func (a Assignment) Check() error {
 		return err
 	}
 	live := Analyze(a.Graph)
-	var rootIv map[*ir.Node][2]int
-	if a.Alias != nil {
-		rootIv = a.Alias.groupIntervals(live, len(a.Graph.Nodes))
-	} else {
-		rootIv = make(map[*ir.Node][2]int, len(a.Graph.Nodes))
-		for _, n := range a.Graph.Nodes {
-			rootIv[n] = [2]int{live.Begin[n], min(live.End[n], len(a.Graph.Nodes))}
-		}
-	}
+	rootIv := rootIntervals(a.Graph, a.Alias, live)
 	// Views: exact placement inside the root, fully contained.
 	for _, n := range a.Graph.Nodes {
 		off, ok := a.Offsets[n]
@@ -213,11 +249,4 @@ func (a Assignment) Check() error {
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -239,5 +239,6 @@ func FuzzAssignOffsets(f *testing.F) {
 		for _, batch := range []int{1, 3} {
 			checkAssignment(t, g, batch)
 		}
+		checkLayoutsAt(t, g)
 	})
 }

@@ -26,12 +26,11 @@ import (
 // exceeded the memory budget at its bucket.
 
 // batchLadder is the batch-size ladder: the bucket sizes runs pad to
-// (clipped to Config.MaxBatchSize, with the cap as the top bucket), and
-// the layouts New plans eagerly so no run pays the engine's lazy O(n²)
-// layout check. Padding to it is a speed-up, not just a planning
-// convenience: the direct conv kernel vectorizes only full groups of four
-// samples, so on alexnet 32×32 a run of 4 rows (3.3 ms) beats runs of 2 or
-// 3 (4.0 and 6.0 ms), and a run of 8 (6.1 ms) beats 6 or 7 (7.0 and 8.9).
+// (clipped to Config.MaxBatchSize, with the cap as the top bucket).
+// Padding to it is a speed-up: the direct conv kernel vectorizes only
+// full groups of four samples, so on alexnet 32×32 a run of 4 rows
+// (3.3 ms) beats runs of 2 or 3 (4.0 and 6.0 ms), and a run of 8 (6.1 ms)
+// beats 6 or 7 (7.0 and 8.9).
 var batchLadder = [...]int{1, 4, 8, 16, 32}
 
 // microbatch is one unit of work a worker runs: a coalesced window of
@@ -151,10 +150,9 @@ func (s *Session) rowsFor(ins []*tensor.Tensor) int {
 	return rows
 }
 
-// bucketFor returns the smallest compiled batch bucket holding rows, or
-// rows itself beyond the top of the ladder (the engine then plans that
-// layout lazily — only reachable for requests over the batch cap, or for
-// multi-row requests with batching off).
+// bucketFor returns the smallest batch bucket holding rows, or rows itself
+// beyond the top of the ladder (only reachable for requests over the
+// batch cap, or for multi-row requests with batching off).
 func (s *Session) bucketFor(rows int) int {
 	for _, b := range s.buckets {
 		if b >= rows {

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"temco/internal/engine"
 	"temco/internal/exec"
 	"temco/internal/faultinject"
 	"temco/internal/guard"
@@ -262,23 +263,21 @@ func TestTightDeadlineBypassesBatching(t *testing.T) {
 }
 
 // With batching off (the default), the pipeline is behaviorally unchanged:
-// no coalescer instruments move, and the full bucket ladder is still
-// planned at session start so multi-row requests never hit lazy layout
-// planning.
+// no coalescer instruments move, and multi-row requests run on the
+// engines at their own row counts, from the layouts planned at session
+// start.
 func TestBatchingDisabledUnchanged(t *testing.T) {
-	s, opt, _ := newTestSession(t, Config{Workers: 1})
-	// The default ladder is planned eagerly at session start even with
-	// batching off — asserted before any request can lazily add layouts.
+	s, opt, fb := newTestSession(t, Config{Workers: 1})
 	optEng, fbEng := s.Engines()
 	if optEng == nil || fbEng == nil {
 		t.Fatal("engines must compile for the test graphs")
 	}
-	for _, got := range []string{
-		fmt.Sprint(optEng.Stats().PlannedBatches),
-		fmt.Sprint(fbEng.Stats().PlannedBatches),
-	} {
-		if got != "[1 4 8 16 32]" {
-			t.Fatalf("planned ladder %s, want [1 4 8 16 32]", got)
+	for _, c := range []struct {
+		e *engine.Engine
+		g *ir.Graph
+	}{{optEng, opt}, {fbEng, fb}} {
+		if got, want := c.e.Stats().ArenaBytes, memplan.AssignOffsets(c.g, 1).ArenaBytes; got != want {
+			t.Fatalf("%s: engine arena %d, want the batch-1 plan's %d", c.g.Name, got, want)
 		}
 	}
 	for i := 0; i < 3; i++ {

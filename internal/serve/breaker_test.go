@@ -257,3 +257,27 @@ func TestCloseRacesHalfOpenProbe(t *testing.T) {
 		})
 	}
 }
+
+// TestMalformedRequestsDoNotTripBreaker: a request whose inputs do not fit
+// the graph fails with ErrInvalidModel on any graph, so it says nothing
+// about the optimized graph's health. However many arrive in a row, the
+// breaker stays closed and the next good request is served normally.
+func TestMalformedRequestsDoNotTripBreaker(t *testing.T) {
+	s, opt, _ := newTestSession(t, Config{Workers: 1, BreakerThreshold: 2})
+	for i := 0; i < 3; i++ {
+		x := tensor.New(opt.Inputs[0].Shape...) // no batch dimension
+		if _, err := s.Infer(context.Background(), Request{Inputs: []*tensor.Tensor{x}}); !errors.Is(err, guard.ErrInvalidModel) {
+			t.Fatalf("malformed request %d: err = %v, want ErrInvalidModel", i, err)
+		}
+	}
+	if st := s.Stats(); st.BreakerTrips != 0 {
+		t.Fatalf("malformed requests tripped the breaker %d times", st.BreakerTrips)
+	}
+	resp, err := s.Infer(context.Background(), Request{Inputs: []*tensor.Tensor{serveInput(opt, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded {
+		t.Fatal("good request after malformed ones served degraded")
+	}
+}

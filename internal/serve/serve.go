@@ -269,8 +269,7 @@ func New(optimized, fallback *ir.Graph, cfg Config) (*Session, error) {
 	}
 	// The runtime ladder is batchLadder clipped to the batch cap, with the
 	// cap itself as the top bucket so a full batch never pads. With
-	// batching off everything runs at batch-per-request sizes, but the full
-	// ladder is still compiled below.
+	// batching off everything runs at batch-per-request sizes.
 	if cfg.batching() {
 		for _, b := range batchLadder {
 			if b <= cfg.MaxBatchSize {
@@ -285,11 +284,10 @@ func New(optimized, fallback *ir.Graph, cfg Config) (*Session, error) {
 	}
 	// Compile-or-fall-back: an engine that will not compile (e.g. a layout
 	// that fails its check) is not an error — the interpreter serves that
-	// graph with identical outputs, just without the plan reuse. The whole
-	// bucket ladder is planned here, at session start, so no request ever
-	// pays the O(n²) layout check on the hot path.
-	ladder := append(append([]int(nil), batchLadder[:]...), s.buckets...)
-	opts := engine.Options{Batch: 1, Batches: ladder, BudgetBytes: cfg.BudgetBytes}
+	// graph with identical outputs, just without the plan reuse. Compile
+	// plans the layouts of every batch size at once, so no request pays
+	// for planning.
+	opts := engine.Options{Batch: 1, BudgetBytes: cfg.BudgetBytes}
 	s.optEng, _ = engine.Compile(optimized, opts)
 	s.fbEng, _ = engine.Compile(fallback, opts)
 	// Instruments go live after the structures their sampled closures read
@@ -491,12 +489,17 @@ func (s *Session) execute(live []*item, solo, unpadded bool, w *workerState) {
 		}
 		outs, packed, err := s.attempt(live, solo, unpadded, g, inst, &w.pk)
 		canceled := err != nil && errors.Is(err, guard.ErrCanceled)
+		// A request whose inputs do not fit the graph (rowsFor = -1) fails
+		// on either graph: its ErrInvalidModel is the caller's fault, not
+		// the optimized graph's.
+		malformed := err != nil && live[0].rows < 0 && errors.Is(err, guard.ErrInvalidModel)
 		if useOpt {
 			if probe {
-				// A canceled probe proves nothing about recovery: count it
-				// as a failed probe and keep the breaker open.
+				// A canceled or malformed probe proves nothing about
+				// recovery: count it as a failed probe and keep the
+				// breaker open.
 				s.br.record(true, err == nil)
-			} else if !canceled {
+			} else if !canceled && !malformed {
 				s.br.record(false, err == nil)
 			}
 		}
