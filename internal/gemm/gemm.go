@@ -11,8 +11,12 @@
 // a transposed B and the partial NR panel at a strip's edge are packed —
 // and writes the tile into C in its own epilogue (alpha, bias, beta or
 // accumulate, then an optional ReLU clamp and vector stores), with the
-// same per-element rounding as the scalar writeBack. Everywhere else a
-// scalar 4×4 tile runs over packed B panels. Column strips of C are
+// same per-element rounding as the scalar writeBack. A plain product
+// (alpha 1, beta 0) with K <= 4 — the diagonal blocks of a merged lconv
+// have K = 2 — skips the tile calls: one small-K assembly call keeps the
+// K B vectors of each 8-column chunk in registers, loops over every row of
+// C, and rounds each element exactly as the tile kernel does. Everywhere
+// else a scalar 4×4 tile runs over packed B panels. Column strips of C are
 // distributed over goroutines; every float32 scratch panel comes from the
 // free-list workspace arena (workspace.go), so steady-state calls allocate
 // nothing. pool_row.go holds the two element kernels the fused conv runner
@@ -38,6 +42,10 @@ const (
 	kc = 256
 	nc = 512
 )
+
+// smallK is the largest K the small-K block kernel takes: its k B vectors
+// per 8-column chunk stay in registers while it loops over all rows.
+const smallK = 4
 
 // maxTile bounds the register tile edge across all micro-kernels; the
 // per-tile accumulator is a stack array of maxTile² elements.
@@ -124,7 +132,7 @@ func gemmAny[T float](transA, transB bool, m, n, k int, alpha T, a []T, lda int,
 func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias []T, relu bool, c []T, ldc int) {
 	w := Workers()
 	if !parallel || w <= 1 || n < 2*nr || m*n*k < 1<<15 {
-		gemmStrip(0, n, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, relu, c, ldc)
+		runStrip(0, n, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, relu, c, ldc)
 		return
 	}
 	// Column strips, NR-aligned so panel boundaries (and therefore
@@ -149,12 +157,31 @@ func gemmCore[T float](parallel, transB bool, m, n, k, mr, nr int, alpha T, ap, 
 					panicked.CompareAndSwap(nil, &r)
 				}
 			}()
-			gemmStrip(j0, j1, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, relu, c, ldc)
+			runStrip(j0, j1, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, relu, c, ldc)
 		}(j0, j1)
 	}
 	wg.Wait()
 	if pv := panicked.Load(); pv != nil {
 		panic(*pv)
+	}
+}
+
+// runStrip computes the column range [j0,j1) of C. A plain product
+// (alpha 1, beta 0, B in place) with k <= smallK on the AVX2 path writes
+// the range's full 8-column chunks with one smallKKernel call, in place of
+// an 8×8 tile call per chunk and row panel; every other product, and the
+// ragged columns past the chunks, runs gemmStrip's tile path. Both round
+// each element as the tile kernel does, so the output bits do not depend
+// on which path ran.
+func runStrip[T float](j0, j1 int, transB bool, m, n, k, mr, nr int, alpha T, ap, b []T, ldb int, pb []T, beta T, bias []T, relu bool, c []T, ldc int) {
+	if mr == 8 && k <= smallK && pb == nil && !transB && alpha == 1 && beta == 0 {
+		if full := (j1 - j0) &^ (nr - 1); full > 0 {
+			smallKKernel(k, ap, b[j0:], ldb, c[j0:], ldc, m, full, bias, relu)
+			j0 += full
+		}
+	}
+	if j0 < j1 {
+		gemmStrip(j0, j1, transB, m, n, k, mr, nr, alpha, ap, b, ldb, pb, beta, bias, relu, c, ldc)
 	}
 }
 

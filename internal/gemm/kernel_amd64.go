@@ -30,6 +30,9 @@ func xgetbvAsm() (eax, edx uint32)
 func tileKernelAsm(k int, a, b *float32, ldb int, c *float32, ldc, rows, mode int, alpha, beta float32, bias *float32, relu int)
 
 //go:noescape
+func smallKAsm(k int, a, b *float32, ldb int, c *float32, ldc, m, chunks int, bias *float32, relu int)
+
+//go:noescape
 func convRowAccumAsm(dst, x, w *float32, n, rows, kw, xStride int)
 
 //go:noescape
@@ -138,4 +141,28 @@ func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mo
 		(*float32)(unsafe.Pointer(&b[0])), ldb,
 		(*float32)(unsafe.Pointer(&c[0])), ldc, rows, mode,
 		float32(alpha), float32(beta), bp, r)
+}
+
+// smallKKernel bridges the generic small-K strip onto smallKAsm: it writes
+// C[i, j] = bias[i] + Σ_{p<k} A[i,p]·b[p·ldb+j] (no bias add when bias is
+// nil), clamped by ReLU when relu is set, for every row i < m and column
+// j < cols, cols a positive multiple of 8. ap is the MR=8 packed A. Like
+// tileKernel it is only reachable for float32 with useFMA set, and the
+// reslices bound every byte the assembly touches.
+func smallKKernel[T float](k int, ap, b []T, ldb int, c []T, ldc, m, cols int, bias []T, relu bool) {
+	ap = ap[:roundUp(m, 8)*k]
+	b = b[:(k-1)*ldb+cols]
+	c = c[:(m-1)*ldc+cols]
+	var bp *float32
+	if bias != nil {
+		bp = (*float32)(unsafe.Pointer(&bias[:m][0]))
+	}
+	r := 0
+	if relu {
+		r = 1
+	}
+	smallKAsm(k,
+		(*float32)(unsafe.Pointer(&ap[0])),
+		(*float32)(unsafe.Pointer(&b[0])), ldb,
+		(*float32)(unsafe.Pointer(&c[0])), ldc, m, cols/8, bp, r)
 }

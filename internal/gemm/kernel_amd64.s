@@ -219,6 +219,160 @@ tdone:
 	VZEROUPPER
 	RET
 
+// The small-K kernel's row loop tail, shared by its four k variants: add
+// the row's bias (when bias is non-nil; adding +0 would turn a -0 into +0,
+// so a nil bias adds nothing), clamp at the floor in Y13 and store the row
+// chunk, exactly as TILE_BIAS / TILE_OVERWRITE do. Then step to the next
+// row: AX moves 4 bytes along the packed A panel and jumps by BX past the
+// panel's other k-1 columns after every eighth row (CX counts down the
+// rows left in the panel); R13 and R14 step through C and bias. Leaves for
+// done once all R15 rows are written, else loops to row.
+#define SMALLK_ROW_END(nobias, row, done) \
+	TESTQ        R12, R12; \
+	JZ           nobias; \
+	VBROADCASTSS (R14), Y12; \
+	VADDPS       Y12, Y0, Y0; \
+nobias: \
+	VMAXPS       Y0, Y13, Y0; \
+	VMOVUPS      Y0, (R13); \
+	ADDQ         $4, AX; \
+	ADDQ         $4, R14; \
+	ADDQ         R10, R13; \
+	DECQ         R15; \
+	JZ           done; \
+	DECQ         CX; \
+	JNZ          row; \
+	ADDQ         BX, AX; \
+	MOVQ         $8, CX; \
+	JMP          row
+
+// Start a chunk's row loop at row 0 of A, C and bias.
+#define SMALLK_ROWS_INIT \
+	MOVQ SI, AX; \
+	MOVQ DX, R13; \
+	MOVQ R12, R14; \
+	MOVQ R9, R15; \
+	MOVQ $8, CX
+
+// One k step of a row: broadcast A[i,p] (off = 32·p bytes into the
+// panel) and fuse it with the chunk's B row p, held in brow, into Y0 — the
+// tile kernel's VFMADD231PS operand order, so NaN payloads match too.
+#define SMALLK_STEP(off, brow) \
+	VBROADCASTSS off(AX), Y12; \
+	VFMADD231PS  brow, Y12, Y0
+
+// Step to the next 8-column chunk of B and C; loop while chunks remain.
+#define SMALLK_NEXT_CHUNK(chunk) \
+	ADDQ $32, DI; \
+	ADDQ $32, DX; \
+	DECQ R11; \
+	JNZ  chunk; \
+	JMP  skdone
+
+// func smallKAsm(k int, a, b *float32, ldb int, c *float32, ldc, m, chunks int, bias *float32, relu int)
+//
+// The small-K block kernel: C[i, j] = act(bias[i] + Σ_{p<k} a[i,p]·b[p, j])
+// for i < m and j < 8·chunks, one call for a whole pre-packed A. a is the
+// MR=8 packed A (A[i,p] at (i/8)·32k + 32p + 4·(i%8) bytes), b the
+// row-major B (row stride ldb elements), c the row-major C (ldc), bias m
+// values or nil, relu != 0 clamps at +0. For each 8-column chunk the k B
+// vectors stay in Y8–Y11 while the row loop runs; each row's accumulator
+// Y0 starts at +0 and takes one FMA per p in p order, so every element
+// rounds exactly as in tileKernelAsm with alpha 1 in the overwrite or bias
+// mode. 1 <= k <= 4, m >= 1, chunks >= 1.
+TEXT ·smallKAsm(SB), NOSPLIT, $0-80
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ ldb+24(FP), R8
+	SHLQ $2, R8        // B row stride in bytes
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R10
+	SHLQ $2, R10       // C row stride in bytes
+	MOVQ m+48(FP), R9
+	MOVQ chunks+56(FP), R11
+	MOVQ bias+64(FP), R12
+
+	// Floor for the store clamp: +0 applies ReLU, -Inf is the identity.
+	VXORPS       Y13, Y13, Y13
+	CMPQ         relu+72(FP), $0
+	JNE          skpanel
+	VBROADCASTSS negInf<>(SB), Y13
+
+skpanel:
+	LEAQ -1(CX), BX
+	SHLQ $5, BX        // 32·(k-1): past the panel's other columns
+	CMPQ CX, $2
+	JLT  sk1chunk
+	JEQ  sk2chunk
+	CMPQ CX, $3
+	JEQ  sk3chunk
+
+sk4chunk:
+	VMOVUPS (DI), Y8
+	VMOVUPS (DI)(R8*1), Y9
+	VMOVUPS (DI)(R8*2), Y10
+	LEAQ    (DI)(R8*2), AX
+	VMOVUPS (AX)(R8*1), Y11
+	SMALLK_ROWS_INIT
+
+sk4row:
+	VXORPS Y0, Y0, Y0
+	SMALLK_STEP(0, Y8)
+	SMALLK_STEP(32, Y9)
+	SMALLK_STEP(64, Y10)
+	SMALLK_STEP(96, Y11)
+	SMALLK_ROW_END(sk4nobias, sk4row, sk4next)
+
+sk4next:
+	SMALLK_NEXT_CHUNK(sk4chunk)
+
+sk3chunk:
+	VMOVUPS (DI), Y8
+	VMOVUPS (DI)(R8*1), Y9
+	VMOVUPS (DI)(R8*2), Y10
+	SMALLK_ROWS_INIT
+
+sk3row:
+	VXORPS Y0, Y0, Y0
+	SMALLK_STEP(0, Y8)
+	SMALLK_STEP(32, Y9)
+	SMALLK_STEP(64, Y10)
+	SMALLK_ROW_END(sk3nobias, sk3row, sk3next)
+
+sk3next:
+	SMALLK_NEXT_CHUNK(sk3chunk)
+
+sk2chunk:
+	VMOVUPS (DI), Y8
+	VMOVUPS (DI)(R8*1), Y9
+	SMALLK_ROWS_INIT
+
+sk2row:
+	VXORPS Y0, Y0, Y0
+	SMALLK_STEP(0, Y8)
+	SMALLK_STEP(32, Y9)
+	SMALLK_ROW_END(sk2nobias, sk2row, sk2next)
+
+sk2next:
+	SMALLK_NEXT_CHUNK(sk2chunk)
+
+sk1chunk:
+	VMOVUPS (DI), Y8
+	SMALLK_ROWS_INIT
+
+sk1row:
+	VXORPS Y0, Y0, Y0
+	SMALLK_STEP(0, Y8)
+	SMALLK_ROW_END(sk1nobias, sk1row, sk1next)
+
+sk1next:
+	SMALLK_NEXT_CHUNK(sk1chunk)
+
+skdone:
+	VZEROUPPER
+	RET
+
 // func convRowAccumAsm(dst, x, w *float32, n, rows, kw, xStride int)
 //
 // dst[j] += Σ_{r<rows} Σ_{c<kw} w[r·kw+c] · x[r·xStride+c+j] for j < n.

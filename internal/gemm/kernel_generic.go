@@ -16,6 +16,11 @@ func tileKernel[T float](kcEff int, aPanel, b []T, ldb int, c []T, ldc, rows, mo
 	panic("gemm: 8×8 tile kernel invoked without AVX2 support")
 }
 
+// smallKKernel is unreachable when useFMA is false, like tileKernel.
+func smallKKernel[T float](k int, ap, b []T, ldb int, c []T, ldc, m, cols int, bias []T, relu bool) {
+	panic("gemm: small-K kernel invoked without AVX2 support")
+}
+
 // convRowAccumArch reports no vector row-accumulation kernel off amd64;
 // ConvRowAccum falls back to the portable loop, which is bit-identical.
 func convRowAccumArch(dst, x, w []float32, rows, kw, xStride int) bool {
