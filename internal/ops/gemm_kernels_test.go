@@ -114,9 +114,9 @@ func TestPlanConvDispatch(t *testing.T) {
 		{"pointwise-large", &ir.ConvAttrs{InC: 16, OutC: 8, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1}, 2, 14, 14, convPointwise},
 		{"pointwise-tiny", &ir.ConvAttrs{InC: 2, OutC: 3, KH: 1, KW: 1, SH: 1, SW: 1, Groups: 1}, 1, 3, 3, convDirect},
 		{"spatial-im2col", &ir.ConvAttrs{InC: 8, OutC: 8, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}, 2, 12, 12, convIm2col},
-		{"spatial-small", &ir.ConvAttrs{InC: 2, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}, 1, 5, 5, convDirect},
+		{"spatial-small", &ir.ConvAttrs{InC: 2, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}, 1, 5, 5, convIm2col},
 		{"grouped", &ir.ConvAttrs{InC: 4, OutC: 4, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 2}, 2, 10, 10, convDirect},
-		{"strided-1x1", &ir.ConvAttrs{InC: 8, OutC: 8, KH: 1, KW: 1, SH: 2, SW: 2, Groups: 1}, 1, 14, 14, convDirect},
+		{"strided-1x1", &ir.ConvAttrs{InC: 8, OutC: 8, KH: 1, KW: 1, SH: 2, SW: 2, Groups: 1}, 1, 14, 14, convIm2col},
 	} {
 		icg := tc.a.InC
 		if g := tc.a.Groups; g > 1 {

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"temco/internal/gemm"
@@ -58,6 +59,37 @@ func BenchmarkKernels(b *testing.B) {
 			_ = ConvPlannedCtx(ctx, oneOut, oneIn, oneW, oneB, oneAttrs, p)
 		}
 	})
+
+	// Tucker cores on small planes, the shapes the old size thresholds
+	// sent to the direct loop: alexnet's conv4 core (26→26, 3×3 plane)
+	// and vgg11's conv8 core (51→51, 2×2 plane) at 32×32 input, on the
+	// direct loop and on the im2col GEMM PlanConv now picks.
+	for _, cs := range []struct {
+		name  string
+		c, hw int
+	}{{"alexnet-26ch-3x3plane", 26, 3}, {"vgg11-51ch-2x2plane", 51, 2}} {
+		ca := &ir.ConvAttrs{InC: cs.c, OutC: cs.c, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, Groups: 1}
+		cw := tensor.New(cs.c, cs.c, 3, 3)
+		cw.FillNormal(r, 0, 0.1)
+		cb := tensor.New(cs.c)
+		for _, n := range []int{1, 4} {
+			cin := tensor.New(n, cs.c, cs.hw, cs.hw)
+			cin.FillNormal(r, 0, 1)
+			cout := tensor.New(n, cs.c, cs.hw, cs.hw)
+			for _, k := range []convKernel{convDirect, convIm2col} {
+				name := map[convKernel]string{convDirect: "direct", convIm2col: "im2col"}[k]
+				b.Run(fmt.Sprintf("core/%s/n=%d/%s", cs.name, n, name), func(b *testing.B) {
+					p := planConvAs(k, ca, cw, cs.hw, cs.hw, cs.hw, cs.hw)
+					_ = ConvPlannedCtx(ctx, cout, cin, cw, cb, ca, p) // warm the workspace pool
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						_ = ConvPlannedCtx(ctx, cout, cin, cw, cb, ca, p)
+					}
+				})
+			}
+		}
+	}
 
 	linAttrs := &ir.LinearAttrs{In: 512, Out: 512}
 	linIn := tensor.New(32, 512)
