@@ -27,10 +27,12 @@ import (
 
 // batchLadder is the batch-size ladder: the bucket sizes runs pad to
 // (clipped to Config.MaxBatchSize, with the cap as the top bucket).
-// Padding to it is a speed-up: the direct conv kernel vectorizes only
-// full groups of four samples, so on alexnet 32×32 a run of 4 rows
-// (3.3 ms) beats runs of 2 or 3 (4.0 and 6.0 ms), and a run of 8 (6.1 ms)
-// beats 6 or 7 (7.0 and 8.9).
+// Padding to it no longer pays. Every ungrouped k×k conv runs as a GEMM,
+// so run time grows linearly with rows: alexnet 32×32 Fusion on one
+// engine Instance and one worker takes 0.82, 1.09, 1.37, 1.66, 1.93,
+// 2.22, 2.52 and 2.81 ms at 1 to 8 rows (2-vCPU Xeon), and a run padded
+// from 3 rows to 4 is about 20 % slower than one at 3. The ladder stays
+// until runs execute at the rows that arrived.
 var batchLadder = [...]int{1, 4, 8, 16, 32}
 
 // microbatch is one unit of work a worker runs: a coalesced window of
